@@ -24,14 +24,13 @@ from repro.bench.micro import run_micro_suite
 from repro.bench.parallel import parallel_explore, run_parallel_campaign
 from repro.bench.runner import run_broadcast_bench
 from repro.bench.workloads import AggregateOpenLoopDriver, SessionClass
-from repro.checker import CheckerState, Trace, check_all
+from repro.checker import Trace, check_all
 from repro.client import Client
 from repro.harness import (
     OPS_SCENARIOS,
     ActionSchedule,
     Cluster,
     ClusterConfig,
-    FaultSchedule,
     OpsScenarioResult,
     replay_schedule,
     run_ops_scenario,
@@ -65,7 +64,6 @@ __all__ = [
     "Client",
     "DisseminationStrategy",
     "DISSEMINATION_TOPOLOGIES",
-    "FaultSchedule",
     "ActionSchedule",
     "replay_schedule",
     "shrink_schedule",
@@ -83,7 +81,6 @@ __all__ = [
     "SessionClass",
     "AggregateOpenLoopDriver",
     "check_all",
-    "CheckerState",
     "Trace",
     "Tracer",
     "FlightRecorder",

@@ -17,7 +17,7 @@ from repro.bench.runner import (
     run_broadcast_bench,
 )
 from repro.bench.workloads import OpenLoopDriver
-from repro.harness import Cluster, ClusterConfig, FaultSchedule
+from repro.harness import Action, ActionSchedule, Cluster, ClusterConfig
 from repro.net import NetworkConfig
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 from repro.paxos import PaxosCluster
@@ -167,12 +167,13 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
         cluster, rate, default_op_factory(_OP_SIZE), _OP_SIZE,
         warmup=0.0, timeline_bucket=0.1,
     )
-    schedule = FaultSchedule(cluster)
     t0 = cluster.sim.now
-    schedule.crash_follower_at(t0 + 2.0)
-    schedule.recover_all_at(t0 + 4.0)
-    schedule.crash_leader_at(t0 + 6.0)
-    schedule.recover_all_at(t0 + 8.0)
+    fired = ActionSchedule([
+        Action(2.0, "crash_follower"),
+        Action(4.0, "recover_all"),
+        Action(6.0, "crash_leader"),
+        Action(8.0, "recover_all"),
+    ]).bind(cluster, start=t0)
     driver.start()
     cluster.run(10.0)
     driver.stop()
@@ -203,7 +204,7 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
     report = cluster.check_properties()
     return rows, table, {
         "series": series,
-        "events": schedule.events,
+        "events": fired,
         "report": report,
     }
 

@@ -20,9 +20,7 @@ Four probes, one per hot layer:
   ``fabric.messages_per_s``.
 - **checker** — PO-property checking throughput over a synthetic
   many-epoch trace: the post-hoc :func:`repro.checker.check_all` pass
-  (``checker.check_all_events_per_s``) and, when available, the
-  incremental :class:`repro.checker.CheckerState` consuming the same
-  events one at a time (``checker.events_per_s``).
+  (``checker.check_all_events_per_s``).
 - **explore** — end-to-end states/second of a small exhaustive
   ``repro explore`` run, the metric the DFS campaign actually buys with
   the three layers above.  Reported as ``explore.states_per_s`` and
@@ -246,12 +244,7 @@ def _synthetic_trace(events, processes=5, epochs=4):
 
 
 def bench_checker(events=CHECKER_EVENTS, processes=5, repeat=3):
-    """Property-checking throughput, in trace events/second.
-
-    Measures the post-hoc ``check_all`` pass always, and the
-    incremental ``CheckerState`` (one ``observe`` call per event plus a
-    final verdict) when the current tree provides it.
-    """
+    """Post-hoc ``check_all`` throughput, in trace events/second."""
     trace = _synthetic_trace(events, processes=processes)
     total = len(trace.broadcasts) + len(trace.deliveries)
 
@@ -262,38 +255,10 @@ def bench_checker(events=CHECKER_EVENTS, processes=5, repeat=3):
         assert report.ok
         return total
 
-    metrics = {
+    return {
         "checker.check_all_events_per_s": _best_of(posthoc_once, repeat),
         "checker.events": float(total),
     }
-
-    try:
-        from repro.checker import CheckerState
-    except ImportError:
-        return metrics
-
-    def incremental_once():
-        state = CheckerState()
-        observe_broadcast = state.observe_broadcast
-        observe_delivery = state.observe_delivery
-        broadcasts = iter(trace.broadcasts)
-        deliveries = iter(trace.deliveries)
-        next_b = next(broadcasts, None)
-        next_d = next(deliveries, None)
-        while next_b is not None or next_d is not None:
-            if next_d is None or (
-                next_b is not None and next_b.index < next_d.index
-            ):
-                observe_broadcast(next_b)
-                next_b = next(broadcasts, None)
-            else:
-                observe_delivery(next_d)
-                next_d = next(deliveries, None)
-        assert state.ok
-        return total
-
-    metrics["checker.events_per_s"] = _best_of(incremental_once, repeat)
-    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +663,6 @@ def render_micro(metrics):
     rows = [
         ("kernel", "kernel.events_per_s", "events/s"),
         ("fabric", "fabric.messages_per_s", "messages/s"),
-        ("checker (incremental)", "checker.events_per_s", "events/s"),
         ("checker (check_all)", "checker.check_all_events_per_s",
          "events/s"),
         ("explore", "explore.states_per_s", "states/s"),

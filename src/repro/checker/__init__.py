@@ -9,7 +9,6 @@ The same checker runs against the Paxos baseline, where it *detects* the
 primary-order violations the paper uses to motivate Zab (experiment E4).
 """
 
-from repro.checker.incremental import CheckerState
 from repro.checker.properties import check_all, PropertyReport, Violation
 from repro.checker.trace import BroadcastEvent, DeliveryEvent, Trace
 
@@ -18,7 +17,6 @@ __all__ = [
     "BroadcastEvent",
     "DeliveryEvent",
     "check_all",
-    "CheckerState",
     "PropertyReport",
     "Violation",
 ]

@@ -60,18 +60,6 @@ class Trace:
         self.broadcasts = []
         self.deliveries = []
         self._next_index = 0
-        self._observers = ()   # tuple: cheap to iterate when empty
-
-    def add_observer(self, observer):
-        """Stream every future event to *observer* as it is recorded.
-
-        An observer exposes ``observe_broadcast(event)`` and
-        ``observe_delivery(event)`` — the incremental
-        :class:`~repro.checker.incremental.CheckerState` is the intended
-        consumer (use :meth:`CheckerState.attach` to also catch up on
-        already-recorded events)."""
-        self._observers = self._observers + (observer,)
-        return observer
 
     def record_broadcast(self, primary, epoch, zxid, txn_id):
         event = BroadcastEvent(
@@ -79,8 +67,6 @@ class Trace:
         )
         self._next_index += 1
         self.broadcasts.append(event)
-        for observer in self._observers:
-            observer.observe_broadcast(event)
         return event
 
     def record_delivery(self, process, incarnation, position, zxid, txn_id,
@@ -93,8 +79,6 @@ class Trace:
         )
         self._next_index += 1
         self.deliveries.append(event)
-        for observer in self._observers:
-            observer.observe_delivery(event)
         return event
 
     # -- views ----------------------------------------------------------

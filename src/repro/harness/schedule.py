@@ -151,6 +151,30 @@ class ActionSchedule:
         """A copy of this schedule with a different action list."""
         return ActionSchedule(list(actions), meta=self.meta)
 
+    def bind(self, cluster, start=0.0):
+        """Arm every action as a timer on *cluster*'s simulator.
+
+        Each action fires through :func:`apply_action` at absolute sim
+        time ``start + action.time`` (schedule times are relative to
+        cluster stability; pass the stability timestamp as *start*).
+        This is the event-driven sibling of
+        :func:`~repro.harness.replay.replay_schedule`, for scripts that
+        drive the cluster themselves.  Returns the fired log: a list of
+        ``(time, description)`` filled in as actions take effect.
+        """
+        fired = []
+
+        def make_fire(action):
+            def fire():
+                happened = apply_action(cluster, action)
+                if happened is not None:
+                    fired.append((cluster.sim.now, happened))
+            return fire
+
+        for action in self.actions:
+            cluster.sim.schedule_at(start + action.time, make_fire(action))
+        return fired
+
     # -- sequence protocol ---------------------------------------------
 
     def __len__(self):

@@ -25,7 +25,6 @@ prefixes were left unexplored — no silent caps.
 import os
 import time
 
-from repro.checker import CheckerState
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.replay import replay_schedule, violation_signature
@@ -404,10 +403,6 @@ class Explorer:
             dissemination=config.dissemination,
         )
         cluster = Cluster(spec).start()
-        # Incremental checker rides along with the execution, so the
-        # terminal verdict is O(1) instead of a full check_all re-read
-        # of the history at every explored state.
-        checker_state = CheckerState.attach(cluster.trace)
         if config.interleave:
             cluster.sim.set_policy(InterleavingPolicy(
                 chooser, cluster.network._deliver, self._por_stats
@@ -482,21 +477,7 @@ class Explorer:
             )
         cluster.run(config.settle)
 
-        report = checker_state.report()
-        if not report.ok:
-            # Cross-validate: the stock post-hoc checker stays the
-            # authoritative oracle on anything the incremental state
-            # flags.  A disagreement is a checker bug, reported loudly.
-            posthoc = cluster.check_properties()
-            if (posthoc.violated_properties()
-                    != report.violated_properties()):
-                return _RunOutcome(
-                    chooser, schedule,
-                    error="incremental/post-hoc checker mismatch: %s != %s"
-                    % (sorted(report.violated_properties()),
-                       sorted(posthoc.violated_properties())),
-                )
-            report = posthoc
+        report = cluster.check_properties()
         states = {
             tuple(sorted(state.items()))
             for state in cluster.states().values()

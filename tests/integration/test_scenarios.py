@@ -1,12 +1,17 @@
-"""Tests for the canned operational scenarios."""
+"""Tests for the canned operational scenarios.
 
-from repro.harness import Cluster, ClusterConfig
-from repro.harness.scenarios import (
-    flapping_partition,
-    leader_churn,
-    measure_recovery_gap,
-    rolling_restart,
+Rolling restarts and flapping partitions are the declarative
+``opscenarios`` families, replayed through :func:`run_ops_scenario`;
+leader churn and the recovery-gap probe drive a live cluster directly.
+"""
+
+from repro.harness import Cluster, ClusterConfig, run_ops_scenario
+from repro.harness.opscenarios import (
+    flapping_partition_schedule,
+    rolling_restart_schedule,
+    stable_leader_id,
 )
+from repro.harness.scenarios import leader_churn, measure_recovery_gap
 
 
 def stable_cluster(n=3, seed=140, **kwargs):
@@ -15,50 +20,70 @@ def stable_cluster(n=3, seed=140, **kwargs):
     return cluster
 
 
+def _run_clean(schedule):
+    result = run_ops_scenario(schedule)
+    assert result.passed, result
+    assert result.lost == []
+    return result
+
+
+def _crashes(result):
+    """``(peer, was_leader)`` for every crash the replay traced."""
+    return [
+        (event.node, event.fields["was_leader"])
+        for event in result.replay.cluster.tracer.by_kind("fault.crash")
+    ]
+
+
 def test_rolling_restart_preserves_data_and_order():
-    cluster = stable_cluster(n=3)
-    for i in range(10):
-        cluster.submit_and_wait(("put", "k%d" % i, i))
-    leader_id = cluster.leader().peer_id
-    order = rolling_restart(cluster)
-    assert order[-1] == leader_id  # leader restarted last
-    assert len(order) == 3
-    cluster.run(1.0)
-    for state in cluster.states().values():
-        assert state == {"k%d" % i: i for i in range(10)}
-    cluster.assert_properties()
+    schedule = rolling_restart_schedule(seed=140, n_voters=3)
+    schedule.add(0.0, "submit", 10)        # data written before the bounces
+    result = _run_clean(schedule)
+    crashes = _crashes(result)
+    assert [peer for peer, _ in crashes] == [
+        action.target for action in schedule if action.kind == "crash"
+    ]
+    assert len(crashes) == 3
+    # The leader restarts last: only the final bounce hits a leader.
+    assert [was_leader for _, was_leader in crashes] == [False, False, True]
+    assert crashes[-1][0] == stable_leader_id(3, 140)
+    for state in result.replay.cluster.states().values():
+        assert state["burst"] == 10
 
 
 def test_rolling_restart_five_nodes_under_writes():
-    cluster = stable_cluster(n=5, seed=141)
-    cluster.submit_and_wait(("put", "before", 1))
-    rolling_restart(cluster, settle=0.5)
-    cluster.submit_and_wait(("put", "after", 2))
-    cluster.run(1.0)
-    for state in cluster.states().values():
-        assert state["before"] == 1 and state["after"] == 2
-    cluster.assert_properties()
+    schedule = rolling_restart_schedule(seed=141, n_voters=5)
+    schedule.add(0.0, "submit", 1)
+    schedule.add(schedule[-1].time + 1.5, "submit", 1)
+    result = _run_clean(schedule)
+    assert sorted(peer for peer, _ in _crashes(result)) == [1, 2, 3, 4, 5]
+    fired = [text for _t, text in result.replay.fired]
+    assert fired[0] == fired[-1] == "submit burst of 1"
+    for state in result.replay.cluster.states().values():
+        assert state["burst"] == 2           # before and after the restart
+        assert state["campaign"] > 0         # client load ran throughout
 
 
 def test_flapping_partition_of_follower_is_survivable():
-    cluster = stable_cluster(n=5, seed=142)
-    follower = next(
-        peer for peer in cluster.peers.values() if peer.is_active_follower
-    )
-    flapping_partition(cluster, follower.peer_id, flaps=4, period=0.3)
-    cluster.submit_and_wait(("put", "k", 1))
-    cluster.run(1.0)
-    assert all(s["k"] == 1 for s in cluster.states().values())
-    cluster.assert_properties()
+    leader_id = stable_leader_id(5, 142)
+    follower = min(peer for peer in range(1, 6) if peer != leader_id)
+    result = _run_clean(flapping_partition_schedule(
+        seed=142, n_voters=5, victim=follower, flaps=4, period=0.3,
+    ))
+    assert [text for _t, text in result.replay.fired] == [
+        "flap full partition on peer %d x4" % follower
+    ]
+    assert result.replay.cluster.leader().peer_id == leader_id
 
 
 def test_flapping_partition_of_leader_reelects_and_recovers():
-    cluster = stable_cluster(n=5, seed=143)
-    leader_id = cluster.leader().peer_id
-    flapping_partition(cluster, leader_id, flaps=3, period=0.4)
-    cluster.submit_and_wait(("put", "k", 1))
-    cluster.run(1.0)
-    cluster.assert_properties()
+    leader_id = stable_leader_id(5, 143)
+    schedule = flapping_partition_schedule(
+        seed=143, n_voters=5, flaps=3, period=0.4,
+    )
+    assert schedule.meta["victim"] == leader_id
+    result = _run_clean(schedule)
+    assert len(result.replay.epochs) > 1     # the flaps forced an election
 
 
 def test_leader_churn_epochs_strictly_increase():

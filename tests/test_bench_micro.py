@@ -28,7 +28,6 @@ def test_suite_reports_every_hot_path(quick_metrics):
         "kernel.events_per_s",
         "fabric.messages_per_s",
         "checker.check_all_events_per_s",
-        "checker.events_per_s",
         "explore.states_per_s",
         "explore.runs_per_s",
         "campaign.runs_per_s",

@@ -1,29 +1,19 @@
-"""Incremental CheckerState vs post-hoc check_all: same verdicts.
+"""Live terminal-state judgement vs post-hoc check_all: same verdicts.
 
-The contract under test (see :mod:`repro.checker.incremental`): over any
-event sequence, the incremental checker's report carries the *same
-multiset of (property, message) violations* as a post-hoc ``check_all``
-over the same trace.  Three pressure sources:
-
-- the seeded-bug corpus — every known-bad protocol variant, replayed
-  through its canonical schedule, judged by both checkers;
-- clean full-cluster runs — where the incremental fast path (no dirty
-  flags, O(1) report) must hold *and* agree;
-- adversarial random traces (hypothesis) — arbitrary interleavings,
-  duplicate txn ids, out-of-order positions, deliveries before
-  broadcasts: everything that trips the retroactivity fallbacks.
+The explorer once judged each terminal state with a separate incremental
+checker and cross-checked it against ``check_all``.  It now judges with
+``cluster.check_properties()`` on the live cluster, and an offline
+re-check (``repro check``) judges the trace after it has been persisted.
+This file pins that the two paths agree on every seeded bug: the same
+multiset of (property, message) violations, the same stats, and the
+bug's registered property set — or the explorer would mis-signature it.
 """
 
 import pytest
 
-from repro.checker import CheckerState, Trace, check_all
-from repro.harness import Cluster
+from repro.checker import Trace, check_all
 from repro.harness.buggy import SEEDED_BUGS
 from repro.harness.replay import replay_schedule
-from repro.zab.zxid import Zxid
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
 
 
 def _multiset(report):
@@ -33,144 +23,17 @@ def _multiset(report):
     )
 
 
-def _assert_equivalent(trace):
-    state = CheckerState.attach(trace)
-    incremental = state.report()
-    posthoc = check_all(trace)
-    assert _multiset(incremental) == _multiset(posthoc)
-    assert incremental.stats == posthoc.stats
-    return state
-
-
-# ---------------------------------------------------------------------------
-# Seeded-bug corpus
-# ---------------------------------------------------------------------------
-
 @pytest.mark.parametrize("name", sorted(SEEDED_BUGS))
-def test_equivalent_on_seeded_bug(name):
+def test_equivalent_on_seeded_bug(name, tmp_path):
     bug = SEEDED_BUGS[name]
     result = replay_schedule(
         bug.canonical_schedule(), leader_factory=bug.factory
     )
-    trace = result.cluster.trace
-    state = _assert_equivalent(trace)
-    # The bug's pinned property set must come out of the incremental
-    # checker too, or the explorer would mis-signature it.
-    assert state.violated_properties() == bug.expected
-
-
-def test_equivalent_on_clean_cluster_run():
-    cluster = Cluster(3, seed=11).start()
-    cluster.run_until_stable(timeout=30)
-    state = CheckerState.attach(cluster.trace)
-    for i in range(15):
-        cluster.submit_and_wait(("incr", "x", 1))
-    cluster.crash(cluster.leader().peer_id)
-    cluster.run_until_stable(timeout=30)
-    for i in range(5):
-        cluster.submit_and_wait(("put", "k%d" % i, i))
-    cluster.run(1.0)
-    assert state.ok
-    posthoc = check_all(cluster.trace)
-    assert posthoc.ok
-    assert _multiset(state.report()) == _multiset(posthoc)
-    # A clean real execution must ride the eager fast path the whole
-    # way — no dirty flag, or report() degenerates to post-hoc cost.
-    assert not state._integrity_dirty
-    assert not state._order_dirty
-    assert not state._lpo_dirty
-    assert not state._pi_dirty
-
-
-def test_attach_catches_up_on_existing_events():
-    trace = Trace()
-    trace.record_broadcast(1, 1, Zxid(1, 1), "t1")
-    trace.record_delivery(1, 1, 1, Zxid(1, 1), "t1")
-    state = CheckerState.attach(trace)     # after the fact
-    assert state.ok
-    trace.record_delivery(2, 1, 1, Zxid(1, 1), "t1")   # streams through
-    assert state.ok
-    trace.record_delivery(2, 1, 2, Zxid(1, 2), "t-unbroadcast")
-    assert state.violated_properties() == {
-        "integrity", "local_primary_order",
-    }
-    assert _multiset(state.report()) == _multiset(check_all(trace))
-
-
-def test_report_is_cached_until_next_event():
-    trace = Trace()
-    state = CheckerState.attach(trace)
-    trace.record_broadcast(1, 1, Zxid(1, 1), "t1")
-    first = state.report()
-    assert state.report() is first
-    trace.record_delivery(1, 1, 1, Zxid(1, 1), "t1")
-    assert state.report() is not first
-
-
-# ---------------------------------------------------------------------------
-# Adversarial random traces
-# ---------------------------------------------------------------------------
-
-_EVENTS = st.lists(
-    st.one_of(
-        # broadcast: (primary, epoch, zxid-epoch, zxid-counter, txn)
-        st.tuples(
-            st.just("b"),
-            st.integers(1, 3), st.integers(1, 3),
-            st.integers(1, 3), st.integers(1, 5),
-            st.integers(0, 7),
-        ),
-        # delivery: (process, incarnation, position, zxid-e, zxid-c, txn)
-        st.tuples(
-            st.just("d"),
-            st.integers(1, 3), st.integers(1, 2),
-            st.integers(1, 8), st.integers(1, 3),
-            st.integers(1, 5), st.integers(0, 7),
-        ),
-    ),
-    max_size=60,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_EVENTS)
-def test_equivalent_on_arbitrary_event_sequences(events):
-    trace = Trace()
-    for event in events:
-        if event[0] == "b":
-            _tag, primary, epoch, ze, zc, txn = event
-            trace.record_broadcast(primary, epoch, Zxid(ze, zc), "t%d" % txn)
-        else:
-            _tag, process, inc, position, ze, zc, txn = event
-            trace.record_delivery(
-                process, inc, position, Zxid(ze, zc), "t%d" % txn,
-                epoch=ze,
-            )
-    _assert_equivalent(trace)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_EVENTS, _EVENTS)
-def test_attach_split_point_is_irrelevant(head, tail):
-    """Catching up on a backlog then streaming gives the same verdict
-    as streaming everything (and as post-hoc)."""
-    def feed(trace, events):
-        for event in events:
-            if event[0] == "b":
-                _tag, primary, epoch, ze, zc, txn = event
-                trace.record_broadcast(
-                    primary, epoch, Zxid(ze, zc), "t%d" % txn
-                )
-            else:
-                _tag, process, inc, position, ze, zc, txn = event
-                trace.record_delivery(
-                    process, inc, position, Zxid(ze, zc), "t%d" % txn,
-                    epoch=ze,
-                )
-
-    trace = Trace()
-    feed(trace, head)
-    state = CheckerState.attach(trace)    # backlog replayed here
-    feed(trace, tail)                     # observed live
-    posthoc = check_all(trace)
-    assert _multiset(state.report()) == _multiset(posthoc)
+    live = result.cluster.check_properties()
+    path = str(tmp_path / "trace.json")
+    result.cluster.trace.save(path)
+    posthoc = check_all(Trace.load(path))
+    assert _multiset(live) == _multiset(posthoc)
+    assert live.stats == posthoc.stats
+    assert live.violated_properties() == bug.expected
+    assert posthoc.violated_properties() == bug.expected

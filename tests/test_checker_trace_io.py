@@ -1,5 +1,10 @@
 """Tests for trace persistence (save/load round trip)."""
 
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
 from repro.checker import check_all, Trace
 from repro.harness import Cluster
 from repro.zab.zxid import Zxid
@@ -50,3 +55,57 @@ def test_violating_trace_survives_roundtrip(tmp_path):
     trace.save(path)
     report = check_all(Trace.load(path))
     assert "local_primary_order" in report.violated_properties()
+
+
+# Arbitrary interleavings: duplicate txn ids, out-of-order positions,
+# deliveries before broadcasts, epochs that disagree with zxids.
+_EVENTS = st.lists(
+    st.one_of(
+        # broadcast: (primary, epoch, zxid-epoch, zxid-counter, txn)
+        st.tuples(
+            st.just("b"),
+            st.integers(1, 3), st.integers(1, 3),
+            st.integers(1, 3), st.integers(1, 5),
+            st.integers(0, 7),
+        ),
+        # delivery: (process, incarnation, position, zxid-e, zxid-c, txn)
+        st.tuples(
+            st.just("d"),
+            st.integers(1, 3), st.integers(1, 2),
+            st.integers(1, 8), st.integers(1, 3),
+            st.integers(1, 5), st.integers(0, 7),
+        ),
+    ),
+    max_size=60,
+)
+
+
+def _multiset(report):
+    return sorted(
+        (violation.prop, violation.message)
+        for violation in report.violations
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVENTS)
+def test_check_all_on_arbitrary_event_sequences(events):
+    """``check_all`` never raises, and its verdict survives save/load."""
+    trace = Trace()
+    for event in events:
+        if event[0] == "b":
+            _tag, primary, epoch, ze, zc, txn = event
+            trace.record_broadcast(primary, epoch, Zxid(ze, zc), "t%d" % txn)
+        else:
+            _tag, process, inc, position, ze, zc, txn = event
+            trace.record_delivery(
+                process, inc, position, Zxid(ze, zc), "t%d" % txn,
+                epoch=ze,
+            )
+    report = check_all(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        trace.save(path)
+        reloaded = check_all(Trace.load(path))
+    assert _multiset(reloaded) == _multiset(report)
+    assert reloaded.stats == report.stats

@@ -9,9 +9,8 @@ This file pins that claim from four directions:
 - clean-run equivalence: same seed, same workload → byte-identical
   committed histories across all four topologies;
 - crash-during-relay: killing a relay node mid-stream must not lose or
-  reorder commits under any topology (checker + incremental checker +
-  replica convergence all clean, final states identical across
-  topologies);
+  reorder commits under any topology (checker and replica convergence
+  clean, final states identical across topologies);
 - seeded-bug corpus: every planted protocol bug trips its exact
   registered property set under every topology — the checker's
   sensitivity and specificity are topology-independent;
@@ -26,7 +25,6 @@ import pytest
 
 from repro import Cluster, ClusterConfig, DISSEMINATION_TOPOLOGIES
 from repro.bench.runner import run_broadcast_bench
-from repro.checker import CheckerState
 from repro.common.errors import ConfigError
 from repro.harness import replay_schedule
 from repro.harness.buggy import SEEDED_BUGS
@@ -164,7 +162,6 @@ def _crash_during_relay(topology, seed=9, ops=10):
         n_voters=5, seed=seed, dissemination=topology,
     )).start()
     cluster.run_until_stable(timeout=60)
-    incremental = CheckerState.attach(cluster.trace)
     leader = cluster.leader()
     # The lowest-id follower heads the chain plan and is an interior
     # node of every relay topology — the worst peer to lose.
@@ -210,17 +207,16 @@ def _crash_during_relay(topology, seed=9, ops=10):
     cluster.recover(victim)
     cluster.run_until_stable(timeout=60)
     cluster.run(1.0)
-    return cluster, incremental
+    return cluster
 
 
 @pytest.fixture(scope="module")
 def relay_crash_runs():
     runs = {}
     for topology in DISSEMINATION_TOPOLOGIES:
-        cluster, incremental = _crash_during_relay(topology)
+        cluster = _crash_during_relay(topology)
         runs[topology] = {
             "report": cluster.check_properties(),
-            "incremental": incremental.report(),
             "states": cluster.states(),
         }
     return runs
@@ -234,14 +230,6 @@ def test_relay_crash_loses_nothing(relay_crash_runs):
             for state in run["states"].values()
         }
         assert len(distinct) == 1, "%s: replicas diverged" % topology
-
-
-def test_relay_crash_incremental_checker_agrees(relay_crash_runs):
-    # Incremental checker cross-validation under every topology.
-    for topology, run in relay_crash_runs.items():
-        assert run["incremental"].ok, topology
-        assert (run["incremental"].violated_properties()
-                == run["report"].violated_properties()), topology
 
 
 def test_relay_crash_final_states_identical_across_topologies(

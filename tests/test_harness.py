@@ -6,7 +6,7 @@ import pytest
 
 from repro.checker import Trace
 from repro.common.errors import ConfigError
-from repro.harness import ActionSchedule, Cluster, ClusterConfig, FaultSchedule
+from repro.harness import ActionSchedule, Cluster, ClusterConfig
 
 
 def test_checker_trace_via_cluster_config():
@@ -84,39 +84,45 @@ def test_shared_disk_mode_contends():
 
 def test_fault_schedule_records_events():
     cluster = Cluster(3, seed=64)
-    schedule = FaultSchedule(cluster)
-    schedule.crash_at(1.0, 1).recover_at(2.0, 1)
+    fired = (
+        ActionSchedule().add(1.0, "crash", 1).add(2.0, "recover", 1)
+    ).bind(cluster)
     cluster.start()
     cluster.run_until_stable(timeout=30)
     cluster.run_until(lambda: cluster.sim.now >= 2.5, timeout=10)
-    descriptions = [text for _t, text in schedule.events]
+    descriptions = [text for _t, text in fired]
     assert descriptions == ["crash peer 1", "recover peer 1"]
 
 
 def test_fault_schedule_crash_leader_and_follower():
     cluster = Cluster(5, seed=65)
-    schedule = FaultSchedule(cluster)
-    schedule.crash_follower_at(1.0).crash_leader_at(2.0)
-    schedule.recover_all_at(3.0)
+    fired = (
+        ActionSchedule()
+        .add(1.0, "crash_follower")
+        .add(2.0, "crash_leader")
+        .add(3.0, "recover_all")
+    ).bind(cluster)
     cluster.start()
     cluster.run_until_stable(timeout=30)
     cluster.run_until(lambda: cluster.sim.now >= 3.5, timeout=30)
-    kinds = [text.split(" peer")[0] for _t, text in schedule.events]
-    assert kinds[0] == "crash follower"
-    assert kinds[1] == "crash leader"
-    assert kinds.count("recover") == 2
+    descriptions = [text for _t, text in fired]
+    assert descriptions[0].startswith("crash follower peer ")
+    assert descriptions[1].startswith("crash leader peer ")
+    crashed = sorted(int(text.rsplit(" ", 1)[1]) for text in descriptions[:2])
+    assert descriptions[2:] == ["recover peers %s" % crashed]
     cluster.run_until_stable(timeout=30)
 
 
 def test_partition_schedule():
     cluster = Cluster(3, seed=66)
-    schedule = FaultSchedule(cluster)
-    schedule.partition_at(1.0, {1}, {2, 3}).heal_at(2.0)
+    fired = (
+        ActionSchedule().add(1.0, "partition", [[1], [2, 3]]).add(2.0, "heal")
+    ).bind(cluster)
     cluster.start()
     cluster.run_until_stable(timeout=30)
     cluster.run_until(lambda: cluster.sim.now >= 2.5, timeout=10)
     cluster.run_until_stable(timeout=30)
-    assert [text for _t, text in schedule.events][-1] == "heal"
+    assert [text for _t, text in fired] == ["partition [[1], [2, 3]]", "heal"]
 
 
 def test_fault_schedule_from_actions():
@@ -128,11 +134,11 @@ def test_fault_schedule_from_actions():
         .add(4.0, "heal")
     )
     cluster = Cluster(3, seed=69)
-    faults = FaultSchedule.from_actions(cluster, schedule)
+    fired = schedule.bind(cluster)
     cluster.start()
     cluster.run_until_stable(timeout=30)
     cluster.run_until(lambda: cluster.sim.now >= 4.5, timeout=30)
-    descriptions = [text for _t, text in faults.events]
+    descriptions = [text for _t, text in fired]
     assert descriptions == [
         "crash peer 1", "recover peer 1", "partition [[2]]", "heal",
     ]

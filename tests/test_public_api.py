@@ -10,7 +10,7 @@ SCRIPT = os.path.join(
 )
 
 SUPPORTED = [
-    "Cluster", "Client", "FaultSchedule", "ActionSchedule",
+    "Cluster", "Client", "ActionSchedule",
     "run_broadcast_bench", "check_all", "Tracer", "MetricsRegistry",
     "replay_schedule", "shrink_schedule",
     "TxnSpan", "build_spans", "profile_trace", "CausalityGraph",
