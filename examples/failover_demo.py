@@ -13,7 +13,7 @@ Run with::
     python examples/failover_demo.py
 """
 
-from repro import ActionSchedule, Cluster, replay_schedule
+from repro import ActionSchedule, Cluster, ClusterConfig, replay_schedule
 
 
 def main():
@@ -42,7 +42,7 @@ def main():
     # ActionSchedule.bind arms the same schedule on a cluster you drive
     # yourself — for scripts that interleave their own load or
     # assertions with the fault timeline.
-    cluster = Cluster(5, seed=3).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=3)).start()
     cluster.run_until_stable(timeout=30)
     fired = schedule.bind(cluster, start=cluster.sim.now)
     for _ in range(20):

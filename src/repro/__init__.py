@@ -3,9 +3,9 @@ systems" (Junqueira, Reed, Serafini -- DSN 2011).
 
 Quick start::
 
-    from repro import Cluster
+    from repro import Cluster, ClusterConfig
 
-    cluster = Cluster(n_voters=3, seed=1).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=1)).start()
     cluster.run_until_stable()
     result, zxid = cluster.submit_and_wait(("put", "greeting", "hello"))
     cluster.assert_properties()

@@ -18,7 +18,8 @@ import time
 
 from repro.bench.formats import render_table
 from repro.harness.cluster import Cluster
-from repro.harness.replay import replay_schedule
+from repro.harness.config import ClusterConfig
+from repro.harness.replay import replay_schedule, signature_json
 from repro.harness.schedule import ActionSchedule
 from repro.obs.metrics import StreamingHistogram
 
@@ -155,7 +156,9 @@ def run_partition_campaign_zab(seeds, n_voters=3, steps=10,
     variant below; same fault pattern, same load)."""
     results = []
     for seed in seeds:
-        cluster = Cluster(n_voters, seed=seed).start()
+        cluster = Cluster(ClusterConfig(
+            n_voters=n_voters, seed=seed
+        )).start()
         cluster.run_until_stable(timeout=60)
         _drive_partitions(cluster, cluster.sim, seed, steps, flap_period,
                           op_interval, _zab_submit(cluster))
@@ -344,14 +347,6 @@ def render_campaign(outcomes):
     return "\n".join(lines)
 
 
-def _signature_json(signature):
-    """JSON-safe form of a replay violation signature."""
-    return [
-        [prop, None if zxid is None else list(zxid)]
-        for prop, zxid in signature
-    ]
-
-
 def campaign_report(outcomes, params=None):
     """Machine-readable campaign verdict (``repro-campaign/v1``).
 
@@ -373,7 +368,7 @@ def campaign_report(outcomes, params=None):
             "ok": outcome.ok,
             "converged": outcome.converged,
             "violations": sorted(outcome.violations),
-            "signature": _signature_json(outcome.signature),
+            "signature": signature_json(outcome.signature),
             "deliveries": outcome.deliveries,
             "epochs": sorted(outcome.epochs),
             "actions": len(outcome.actions),

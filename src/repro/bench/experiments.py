@@ -234,7 +234,7 @@ def _paxos_counterexample(seed=4):
 
 
 def _zab_same_crash_pattern(seed=4):
-    cluster = Cluster(3, seed=seed).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed)).start()
     cluster.run_until_stable(timeout=60)
     leader = cluster.leader()
     others = [

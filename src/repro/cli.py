@@ -358,9 +358,11 @@ def cmd_profile(args):
 def cmd_fuzz(args):
     # Import here: the integration helpers live in the test tree's
     # spirit but are re-implemented inline to keep the CLI standalone.
-    from repro.harness import Cluster
+    from repro.harness import Cluster, ClusterConfig
 
-    cluster = Cluster(args.servers, seed=args.seed).start()
+    cluster = Cluster(ClusterConfig(
+        n_voters=args.servers, seed=args.seed
+    )).start()
     cluster.run_until_stable(timeout=60)
     rng = cluster.sim.random.stream("cli-fuzz")
     max_down = (args.servers - 1) // 2

@@ -1,9 +1,7 @@
 """Typed cluster construction (`ClusterConfig`).
 
-``Cluster`` grew one keyword argument per PR — network config, disk
-models, tracing, checker wiring, fault seams, and now dissemination
-topologies.  :class:`ClusterConfig` replaces that sprawl with one typed,
-validated object::
+A :class:`~repro.harness.Cluster` is built from exactly one typed,
+validated :class:`ClusterConfig`::
 
     from repro import Cluster, ClusterConfig
 
@@ -12,35 +10,17 @@ validated object::
         zab={"max_outstanding": 128},
     )).start()
 
-The legacy keyword spelling (``Cluster(5, seed=7, tick=0.1, ...)``)
-still works for one release: unknown keywords are routed exactly as
-before (cluster-level names to their :class:`ClusterConfig` field,
-anything else to :class:`~repro.zab.config.ZabConfig`), but emit a
-:class:`DeprecationWarning` via :meth:`ClusterConfig.from_legacy`.
+Cluster-level knobs are fields; protocol knobs go to
+:class:`~repro.zab.config.ZabConfig` through the ``zab`` dict.  Every
+helper that builds a cluster on the caller's behalf (``replay_schedule``,
+``stable_leader_id``, the ops schedule generators) takes the same field
+names as keywords and passes them straight to ``ClusterConfig``.
 """
 
 import dataclasses
-import warnings
 
 from repro.app.kvstore import KVStateMachine
 from repro.common.errors import ConfigError
-
-#: Legacy ``Cluster(**kwargs)`` names that map onto ClusterConfig fields
-#: (everything else forwards to ZabConfig, as ``config_overrides`` did).
-_LEGACY_FIELD_MAP = {
-    "net_config": "net",
-    "app_factory": "app_factory",
-    "disk": "disk",
-    "fsync_latency": "fsync_latency",
-    "disk_bandwidth": "disk_bandwidth",
-    "group_commit": "group_commit",
-    "dissemination": "dissemination",
-    "checker_trace": "checker_trace",
-    "tracer": "tracer",
-    "recorder": "recorder",
-    "metrics": "metrics",
-    "leader_factory": "leader_factory",
-}
 
 _DISK_MODES = (None, "model", "shared")
 
@@ -119,43 +99,6 @@ class ClusterConfig:
                 "pass dissemination as a ClusterConfig field, not inside "
                 "zab overrides"
             )
-
-    @classmethod
-    def from_legacy(cls, n_voters, n_observers=0, seed=0, _warn=True,
-                    **kwargs):
-        """Build a config from the pre-redesign ``Cluster(...)`` kwargs.
-
-        Cluster-level keywords map to their field (``net_config`` →
-        ``net``); anything else forwards to ZabConfig via ``zab``.
-        Using any keyword at all emits one :class:`DeprecationWarning`
-        unless *_warn* is false — positional ``(n_voters, n_observers,
-        seed)`` alone stays warning-free.
-        """
-        if "trace" in kwargs:
-            raise TypeError(
-                "Cluster(trace=...) was removed; use "
-                "ClusterConfig(checker_trace=...) (or the checker_trace= "
-                "keyword)"
-            )
-        fields = {}
-        zab = {}
-        for key, value in kwargs.items():
-            target = _LEGACY_FIELD_MAP.get(key)
-            if target is not None:
-                fields[target] = value
-            else:
-                zab[key] = value
-        if kwargs and _warn:
-            warnings.warn(
-                "Cluster keyword arguments (%s) are deprecated; build a "
-                "ClusterConfig and pass it as Cluster(config)"
-                % ", ".join(sorted(kwargs)),
-                DeprecationWarning, stacklevel=3,
-            )
-        return cls(
-            n_voters=n_voters, n_observers=n_observers, seed=seed,
-            zab=zab, **fields
-        )
 
     def voter_ids(self):
         return tuple(range(1, self.n_voters + 1))

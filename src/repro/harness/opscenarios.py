@@ -43,22 +43,22 @@ from repro.harness.replay import replay_schedule
 from repro.harness.schedule import ActionSchedule
 
 
-def stable_leader_id(n_voters=3, seed=0, timeout=30.0, **cluster_kwargs):
+def stable_leader_id(n_voters=3, seed=0, timeout=30.0, **config):
     """Which peer leads once a fresh (n_voters, seed) cluster settles.
 
     Deterministic — the simulator is — so schedule generators can plan
     "leader last" or "skew a follower" without a live cluster in hand.
-    Boots and discards a throwaway ensemble.
+    Boots and discards a throwaway ensemble; extra keyword arguments
+    are :class:`ClusterConfig` field names.
     """
-    spec = ClusterConfig.from_legacy(
-        n_voters, seed=seed, _warn=False, **cluster_kwargs
-    )
-    cluster = Cluster(spec).start()
+    cluster = Cluster(ClusterConfig(
+        n_voters=n_voters, seed=seed, **config
+    )).start()
     cluster.run_until_stable(timeout=timeout)
     return cluster.leader().peer_id
 
 
-def _base_meta(scenario, seed, n_voters, op_interval, **cluster_kwargs):
+def _base_meta(scenario, seed, n_voters, op_interval, **config):
     meta = {
         "scenario": scenario,
         "seed": seed,
@@ -67,8 +67,8 @@ def _base_meta(scenario, seed, n_voters, op_interval, **cluster_kwargs):
     }
     # Replay-relevant cluster knobs ride in meta so the schedule alone
     # reproduces the run (replay_schedule reads them back out).
-    if "dissemination" in cluster_kwargs:
-        meta["dissemination"] = cluster_kwargs["dissemination"]
+    if "dissemination" in config:
+        meta["dissemination"] = config["dissemination"]
     return meta
 
 
@@ -117,7 +117,7 @@ def retention_churn_schedule(seed=0, n_voters=3, cycles=3, interval=0.6,
 
 def rolling_restart_schedule(seed=0, n_voters=3, dwell=0.5, gap=1.5,
                              op_interval=0.02, leader_id=None,
-                             **cluster_kwargs):
+                             **config):
     """Bounce every voter in turn — followers first, leader last.
 
     Each voter is crashed for *dwell* seconds, then the cluster gets
@@ -127,12 +127,12 @@ def rolling_restart_schedule(seed=0, n_voters=3, dwell=0.5, gap=1.5,
     replays.
     """
     if leader_id is None:
-        leader_id = stable_leader_id(n_voters, seed, **cluster_kwargs)
+        leader_id = stable_leader_id(n_voters, seed, **config)
     order = [p for p in range(1, n_voters + 1) if p != leader_id]
     order.append(leader_id)
     schedule = ActionSchedule(meta=dict(
         _base_meta("rolling-restart", seed, n_voters, op_interval,
-                   **cluster_kwargs),
+                   **config),
         leader_id=leader_id, dwell=dwell, gap=gap,
     ))
     t = gap
@@ -145,7 +145,7 @@ def rolling_restart_schedule(seed=0, n_voters=3, dwell=0.5, gap=1.5,
 
 def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
                                 period=0.4, oneway=False, op_interval=0.02,
-                                **cluster_kwargs):
+                                **config):
     """A victim's connectivity flaps — fully, or outbound-only.
 
     The flap cycles run inline as one ``flap`` action (each cycle:
@@ -154,10 +154,10 @@ def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
     worst case for the availability SLO.
     """
     if victim is None:
-        victim = stable_leader_id(n_voters, seed, **cluster_kwargs)
+        victim = stable_leader_id(n_voters, seed, **config)
     schedule = ActionSchedule(meta=dict(
         _base_meta("flapping-partition", seed, n_voters, op_interval,
-                   **cluster_kwargs),
+                   **config),
         victim=victim, oneway=oneway,
     ))
     schedule.add(0.5, "flap", {
@@ -170,7 +170,7 @@ def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
 
 
 def clock_skew_election_schedule(seed=0, n_voters=3, skew=4.0,
-                                 op_interval=0.02, **cluster_kwargs):
+                                 op_interval=0.02, **config):
     """Skew a follower's election clock, then kill the leader.
 
     The skewed follower's notification resends and finalize waits run
@@ -179,11 +179,11 @@ def clock_skew_election_schedule(seed=0, n_voters=3, skew=4.0,
     rejoin.  The skew is lifted mid-schedule so the final quiesce has
     nothing left to clean.
     """
-    leader_id = stable_leader_id(n_voters, seed, **cluster_kwargs)
+    leader_id = stable_leader_id(n_voters, seed, **config)
     slow = (leader_id % n_voters) + 1  # some voter that is not the leader
     schedule = ActionSchedule(meta=dict(
         _base_meta("clock-skew-election", seed, n_voters, op_interval,
-                   **cluster_kwargs),
+                   **config),
         leader_id=leader_id, skewed=slow, skew=skew,
     ))
     schedule.add(0.25, "clock_skew", [slow, skew])

@@ -8,11 +8,17 @@ whole run lives in simulated time, so the same ``(schedule, seed)`` pair
 always yields the same :class:`ReplayResult` — including the exact
 violation signature when the run is bad, which is what makes delta
 debugging (:mod:`repro.harness.shrink`) sound.
+
+The run itself lives in :func:`execute`, the only code that executes a
+schedule: the bounded explorer (:mod:`repro.mc.explorer`) drives the
+same executor with live per-step decisions, so a schedule it emits
+replays the explored execution exactly.
 """
 
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.schedule import apply_action
+from repro.net import NetworkConfig
 
 
 def violation_signature(report, converged=True):
@@ -35,6 +41,14 @@ def violation_signature(report, converged=True):
     if not converged:
         entries.add(("diverged", None))
     return tuple(sorted(entries))
+
+
+def signature_json(signature):
+    """JSON-safe form of a :func:`violation_signature`."""
+    return [
+        [prop, None if zxid is None else list(zxid)]
+        for prop, zxid in signature
+    ]
 
 
 class ReplayResult:
@@ -71,11 +85,13 @@ class ReplayResult:
         )
 
 
-def replay_schedule(schedule, n_voters=None, seed=None, op_interval=None,
-                    settle=2.0, timeout=60.0, op=("incr", "campaign", 1),
-                    leader_factory=None, tracer=None, metrics=None,
-                    dissemination=None, recorder_dir=None,
-                    latency_histogram=None, **cluster_kwargs):
+#: Decider verdict: abandon the run unjudged (the explorer's pruning).
+STOP = object()
+
+
+def replay_schedule(schedule, op_interval=None, settle=2.0, timeout=60.0,
+                    op=("incr", "campaign", 1), recorder_dir=None,
+                    latency_histogram=None, **config):
     """Run *schedule* against a fresh cluster; returns a ReplayResult.
 
     With *recorder_dir* set, any failing replay (checker violation,
@@ -85,32 +101,57 @@ def replay_schedule(schedule, n_voters=None, seed=None, op_interval=None,
     off.  The dump is deterministic: replaying the same schedule on
     the same seed writes byte-identical flight files.
 
-    ``n_voters`` / ``seed`` / ``op_interval`` / ``dissemination``
-    default to the schedule's own ``meta`` (falling back to 3 voters,
-    seed 0, 20 ms, leader-direct), so a schedule loaded from a repro
-    artifact replays with no extra arguments.  ``leader_factory`` is
-    forwarded to the cluster — the hook the
-    :class:`~repro.harness.buggy.BuggyLeaderContext` fixture uses to
-    prove the shrink pipeline end to end.  Remaining keyword arguments
-    route like legacy ``Cluster(...)`` keywords (without deprecation
-    noise): cluster-level names to :class:`ClusterConfig`, the rest to
-    :class:`~repro.zab.config.ZabConfig`.
+    The schedule's ``meta`` supplies the run's shape, so a schedule
+    loaded from a repro artifact replays with no extra arguments:
+    ``n_voters``, ``seed`` and ``dissemination`` (falling back to the
+    :class:`ClusterConfig` defaults), ``op_interval`` (20 ms),
+    ``jitter`` (the network's per-message jitter; stock fabric when
+    absent) and ``horizon`` (run on to ``t0 + horizon`` after the last
+    action before quiescing; absent means quiesce right after it).
+    Extra keyword arguments are :class:`ClusterConfig` field names
+    (``leader_factory``, ``tracer``, ``disk``, ``zab``, ...) and
+    override the meta.
+    """
+    steps = [
+        (action.time, lambda _cluster, action=action: action)
+        for action in schedule
+    ]
+    return execute(
+        schedule, steps, settle, timeout, op_interval=op_interval, op=op,
+        recorder_dir=recorder_dir, latency_histogram=latency_histogram,
+        **config
+    )
+
+
+def execute(schedule, steps, settle, timeout, op_interval=None,
+            op=("incr", "campaign", 1), recorder_dir=None,
+            latency_histogram=None, on_start=None, **config):
+    """The one schedule executor behind replay and exploration.
+
+    Boots and stabilises a cluster built from ``schedule.meta`` plus
+    *config* (:class:`ClusterConfig` fields), starts the client load,
+    then walks *steps* — ``(time, decide)`` pairs in time order.  At
+    ``t0 + time`` it calls ``decide(cluster)``, which returns the
+    :class:`~repro.harness.schedule.Action` to fire now, ``None`` (fire
+    nothing) or :data:`STOP` (abandon the run; returns ``None``).  It
+    then runs to the meta ``horizon``, quiesces (heal + recover
+    everyone), and checks the six PO broadcast properties plus replica
+    convergence.  ``replay_schedule`` feeds it the schedule's own
+    actions; the explorer feeds it one decider per decision point and
+    installs its interleaving policy through *on_start*, called with
+    the cluster right after ``start()``.
     """
     meta = schedule.meta
-    if n_voters is None:
-        n_voters = meta.get("n_voters", 3)
-    if seed is None:
-        seed = meta.get("seed", 0)
+    for field in ("n_voters", "seed", "dissemination"):
+        if field in meta:
+            config.setdefault(field, meta[field])
+    if meta.get("jitter") is not None and "net" not in config:
+        config["net"] = NetworkConfig(jitter=meta["jitter"])
     if op_interval is None:
         op_interval = meta.get("op_interval", 0.02)
-    if dissemination is None:
-        dissemination = meta.get("dissemination", "leader-direct")
-    spec = ClusterConfig.from_legacy(
-        n_voters, seed=seed, _warn=False,
-        leader_factory=leader_factory, tracer=tracer, metrics=metrics,
-        dissemination=dissemination, **cluster_kwargs
-    )
-    cluster = Cluster(spec).start()
+    cluster = Cluster(ClusterConfig(**config)).start()
+    if on_start is not None:
+        on_start(cluster)
     try:
         cluster.run_until_stable(timeout=timeout)
     except TimeoutError as exc:
@@ -147,13 +188,21 @@ def replay_schedule(schedule, n_voters=None, seed=None, op_interval=None,
         load_tick()
 
     fired = []
-    for action in schedule:
-        target_time = t0 + action.time
+    for when, decide in steps:
+        target_time = t0 + when
         if target_time > cluster.sim.now:
             cluster.run(target_time - cluster.sim.now)
-        happened = apply_action(cluster, action)
-        if happened is not None:
-            fired.append((cluster.sim.now, happened))
+        action = decide(cluster)
+        if action is STOP:
+            return None
+        if action is not None:
+            happened = apply_action(cluster, action)
+            if happened is not None:
+                fired.append((cluster.sim.now, happened))
+    if "horizon" in meta:
+        target_time = t0 + meta["horizon"]
+        if target_time > cluster.sim.now:
+            cluster.run(target_time - cluster.sim.now)
 
     # Quiesce: undo every standing fault, re-stabilise, settle.  Link
     # cuts and clock skews restore trace-silently when absent, so
@@ -184,10 +233,7 @@ def replay_schedule(schedule, n_voters=None, seed=None, op_interval=None,
         signature = violation_signature(report, converged)
         cluster.dump_flight(
             recorder_dir, reason="replay_violation",
-            signature=[
-                [prop, None if zxid is None else list(zxid)]
-                for prop, zxid in signature
-            ],
+            signature=signature_json(signature),
         )
     return ReplayResult(
         schedule,

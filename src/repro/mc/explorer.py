@@ -8,27 +8,33 @@ it, quiesce, and run the PO property checker over the whole history.
 Untaken alternatives recorded along the way become new prefixes on a
 depth-first frontier.
 
-Crucially, an execution here is *line-for-line the same recipe* as
-:func:`repro.harness.replay.replay_schedule` — same boot, same client
-load, same action timing, same quiesce.  That is what lets a violating
-run be emitted as a plain :class:`~repro.harness.schedule.ActionSchedule`
-that the existing ``repro shrink`` ddmin machinery and replay engine
-consume with zero new plumbing, and it is why every reported violation
-is re-verified through an actual ``replay_schedule`` call before the
-explorer vouches for it.
+An execution is not a copy of the replay recipe: it *is* the replay
+recipe.  :func:`repro.harness.replay.execute`, the executor behind
+:func:`~repro.harness.replay.replay_schedule`, runs it with one decider
+per decision point instead of fixed actions, and the explorer records
+the run's ``horizon`` (``depth * step_interval``) and ``jitter`` in the
+emitted schedule's ``meta``.  So a violating run is emitted as a plain
+:class:`~repro.harness.schedule.ActionSchedule` whose replay — by
+``repro shrink``'s ddmin machinery, or by ``replay_schedule`` with no
+extra arguments — is the explored execution itself, and every reported
+violation is re-verified through an actual ``replay_schedule`` call
+before the explorer vouches for it.
 
 Budgets are explicit and loud: when the run stops on ``max_schedules``
 or ``max_states`` the result says so and reports how many frontier
 prefixes were left unexplored — no silent caps.
 """
 
-import os
+import functools
 import time
 
-from repro.harness.cluster import Cluster
-from repro.harness.config import ClusterConfig
-from repro.harness.replay import replay_schedule, violation_signature
-from repro.harness.schedule import Action, ActionSchedule, apply_action
+from repro.harness.replay import (
+    STOP,
+    execute,
+    replay_schedule,
+    signature_json,
+)
+from repro.harness.schedule import Action, ActionSchedule
 from repro.mc.choices import Chooser, DfsFrontier
 from repro.mc.fingerprint import cluster_fingerprint
 from repro.mc.policy import InterleavingPolicy
@@ -63,8 +69,8 @@ class ExplorerConfig:
         stock fabric).  Interleave mode wants ``0.0``: with jitter on,
         two messages essentially never share a timestamp and the
         delivery-order seam has nothing to branch on.  The override is
-        applied to the verification replay too, and recorded in the
-        emitted schedule's ``meta`` so a reproducer knows to match it.
+        recorded in the emitted schedule's ``meta``, which is where both
+        the explored run and every replay of the schedule read it from.
     leader_factory
         Forwarded to the cluster — plant seeded bugs from
         :mod:`repro.harness.buggy` to point the explorer at known prey.
@@ -111,13 +117,6 @@ class ExplorerConfig:
         self.dissemination = dissemination
         self.recorder_dir = recorder_dir
         self.ops_actions = ops_actions
-
-    def net_config(self):
-        """The NetworkConfig override, or None for the stock fabric."""
-        if self.jitter is None:
-            return None
-        from repro.net import NetworkConfig
-        return NetworkConfig(jitter=self.jitter)
 
 
 class Violation:
@@ -211,22 +210,6 @@ class ExplorationResult:
         )
 
 
-class _RunOutcome:
-    """What one execution of a decision prefix produced."""
-
-    __slots__ = ("chooser", "schedule", "signature", "pruned", "error",
-                 "recorder")
-
-    def __init__(self, chooser, schedule=None, signature=(), pruned=False,
-                 error=None, recorder=None):
-        self.chooser = chooser
-        self.schedule = schedule
-        self.signature = signature
-        self.pruned = pruned
-        self.error = error
-        self.recorder = recorder
-
-
 class Explorer:
     """Depth-first bounded search over fault-decision sequences."""
 
@@ -263,25 +246,15 @@ class Explorer:
                 result.stopped_reason = "max_states"
                 break
             prefix = frontier.pop()
-            outcome = self._execute(prefix, result)
-            result.runs += 1
-            if outcome.error is not None:
-                result.errors.append((tuple(prefix), outcome.error))
-            elif outcome.signature and not outcome.pruned:
-                self._record_violation(prefix, outcome, result)
-                if (config.max_violations
-                        and len(result.violations) >= config.max_violations):
-                    result.stopped_reason = "max_violations"
-                    break
-            frontier.expand(prefix, outcome.chooser)
+            chooser = self._run_one(prefix, result)
+            if (config.max_violations
+                    and len(result.violations) >= config.max_violations):
+                result.stopped_reason = "max_violations"
+                break
+            frontier.expand(prefix, chooser)
             self._note_progress(result, frontier)
-        result.states_visited = len(self._visited)
-        result.por_skipped = self._por_stats["por_skipped"]
-        result.choice_points += self._por_stats["choice_points"]
         result.frontier_left = len(frontier)
-        result.elapsed = time.perf_counter() - started
-        self._publish_metrics(result)
-        return result
+        return self._finish(result, started)
 
     def bootstrap(self):
         """Execute only the root prefix; return (result, subtree roots).
@@ -295,25 +268,34 @@ class Explorer:
         """
         started = time.perf_counter()
         result = ExplorationResult(self.config)
-        outcome = self._execute([], result)
-        result.runs = 1
-        if outcome.error is not None:
-            result.errors.append(((), outcome.error))
-        elif outcome.signature and not outcome.pruned:
-            self._record_violation([], outcome, result)
+        chooser = self._run_one([], result)
         units = []
-        chooser = outcome.chooser
         for depth in range(len(chooser.taken)):
             for value in range(1, chooser.arities[depth]):
                 units.append(chooser.taken[:depth] + [value])
+        return self._finish(result, started), units
+
+    def _run_one(self, prefix, result):
+        """Execute and judge one prefix; returns its Chooser."""
+        chooser, replayed = self._execute(prefix, result)
+        result.runs += 1
+        if replayed is None:          # pruned
+            pass
+        elif replayed.error is not None:
+            result.errors.append((tuple(prefix), replayed.error))
+        elif replayed.signature:
+            self._record_violation(prefix, replayed, result)
+        return chooser
+
+    def _finish(self, result, started):
         result.states_visited = len(self._visited)
         result.por_skipped = self._por_stats["por_skipped"]
         result.choice_points += self._por_stats["choice_points"]
         result.elapsed = time.perf_counter() - started
         self._publish_metrics(result)
-        return result, units
+        return result
 
-    def _record_violation(self, prefix, outcome, result):
+    def _record_violation(self, prefix, explored, result):
         """Re-verify a violating run through the stock replay engine.
 
         A violation only counts once per signature; `confirmed` means a
@@ -322,50 +304,28 @@ class Explorer:
         signature — the bit-identical-replay guarantee the shrinker
         needs.
         """
-        if outcome.signature in self._signatures:
+        if explored.signature in self._signatures:
             return
-        self._signatures.add(outcome.signature)
-        replay_kwargs = {}
-        net_config = self.config.net_config()
-        if net_config is not None:
-            replay_kwargs["net_config"] = net_config
+        self._signatures.add(explored.signature)
         replayed = replay_schedule(
-            outcome.schedule, leader_factory=self.config.leader_factory,
+            explored.schedule, leader_factory=self.config.leader_factory,
             settle=self.config.settle, timeout=self.config.timeout,
-            dissemination=self.config.dissemination,
-            **replay_kwargs
         )
         result.violations.append(Violation(
-            schedule=outcome.schedule,
-            signature=outcome.signature,
-            confirmed=(replayed.signature == outcome.signature),
+            schedule=explored.schedule,
+            signature=explored.signature,
+            confirmed=(replayed.signature == explored.signature),
             replay_signature=replayed.signature,
             prefix=tuple(prefix),
-            flight_path=self._dump_flight(outcome, len(result.violations)),
+            # The *explored* run's black box, not the verification
+            # replay's: its tail shows the execution whose signature was
+            # recorded, even when replay fails to confirm.
+            flight_path=explored.cluster.dump_flight(
+                self.config.recorder_dir, reason="explorer_violation",
+                filename="violation-%d.flight.jsonl" % len(result.violations),
+                signature=signature_json(explored.signature),
+            ),
         ))
-
-    def _dump_flight(self, outcome, index):
-        """Ship the violating execution's black box, if configured.
-
-        The dump is the *explored* run's recorder (not the verification
-        replay's), so its tail shows the exact execution whose
-        signature was recorded — even when replay fails to confirm.
-        """
-        recorder_dir = self.config.recorder_dir
-        if recorder_dir is None or outcome.recorder is None:
-            return None
-        os.makedirs(recorder_dir, exist_ok=True)
-        path = os.path.join(
-            recorder_dir, "violation-%d.flight.jsonl" % index
-        )
-        outcome.recorder.dump(
-            path, reason="explorer_violation",
-            signature=[
-                [prop, None if zxid is None else list(zxid)]
-                for prop, zxid in outcome.signature
-            ],
-        )
-        return path
 
     def _note_progress(self, result, frontier):
         result.states_visited = len(self._visited)
@@ -387,26 +347,16 @@ class Explorer:
     # ------------------------------------------------------------------
 
     def _execute(self, prefix, result):
-        """Run one decision prefix end to end.
+        """Run one decision prefix through the shared schedule executor.
 
-        Mirrors :func:`~repro.harness.replay.replay_schedule` exactly —
-        boot, stabilise, client load from t0, one action per step
-        boundary, quiesce, check — so the ActionSchedule assembled from
-        the choices replays to the same execution bit for bit.
+        Each decision point is a decider at ``(k+1) * step_interval``
+        that picks from the fault menu and records the pick in the
+        emitted schedule, followed by a prune check at the same instant.
+        Returns ``(chooser, replayed)``: the ReplayResult, or ``None``
+        when the run was pruned.
         """
         config = self.config
         chooser = Chooser(prefix)
-        spec = ClusterConfig(
-            n_voters=config.peers, seed=config.seed,
-            net=config.net_config(),
-            leader_factory=config.leader_factory,
-            dissemination=config.dissemination,
-        )
-        cluster = Cluster(spec).start()
-        if config.interleave:
-            cluster.sim.set_policy(InterleavingPolicy(
-                chooser, cluster.network._deliver, self._por_stats
-            ))
         meta = {
             "seed": config.seed,
             "n_voters": config.peers,
@@ -417,76 +367,48 @@ class Explorer:
             meta["dissemination"] = config.dissemination
         if config.jitter is not None:
             meta["jitter"] = config.jitter
+        meta["horizon"] = config.depth * config.step_interval
         schedule = ActionSchedule(meta=meta)
-        try:
-            cluster.run_until_stable(timeout=config.timeout)
-        except TimeoutError as exc:
-            return _RunOutcome(
-                chooser, schedule, error="never stable: %s" % exc
-            )
-        t0 = cluster.sim.now
 
-        if config.op_interval:
-            def load_tick():
-                leader = cluster.leader()
-                if leader is not None:
-                    try:
-                        leader.propose_op(("incr", "campaign", 1))
-                    except Exception:
-                        pass
-                cluster.sim.schedule(config.op_interval, load_tick)
-
-            load_tick()
-
-        for step in range(config.depth):
-            target = t0 + (step + 1) * config.step_interval
-            if target > cluster.sim.now:
-                cluster.run(target - cluster.sim.now)
+        def decide(cluster, step):
             options = self._step_options(cluster)
             pick = options[chooser.next(len(options), label="step%d" % step)]
             result.choice_points += 1
-            if pick is not NOOP:
-                action = Action(
-                    (step + 1) * config.step_interval, pick[0], pick[1]
-                )
-                schedule.add(action.time, action.kind, action.target)
-                apply_action(cluster, action)
+            if pick is NOOP:
+                return None
+            action = Action((step + 1) * config.step_interval, *pick)
+            schedule.actions.append(action)
+            return action
+
+        def prune(cluster, step):
             # Prune only at or beyond this run's divergence point: while
             # the chooser is still replaying its scripted prefix, the
             # states necessarily match the parent run's — flagging them
             # as "revisited" would kill the exact branch the frontier
             # scheduled this run to explore.
-            if len(chooser.taken) >= len(chooser.prefix):
-                if self._prune(cluster, step):
-                    result.states_pruned += 1
-                    return _RunOutcome(chooser, schedule, pruned=True)
+            if (len(chooser.taken) >= len(chooser.prefix)
+                    and self._prune(cluster, step)):
+                result.states_pruned += 1
+                return STOP
+            return None
 
-        # Quiesce exactly like replay_schedule: undo standing faults,
-        # re-stabilise, settle, then judge the whole history.
-        cluster.heal()
-        cluster.restore_links()
-        cluster.clear_clock_skews()
-        for peer_id, peer in cluster.peers.items():
-            if peer.crashed:
-                cluster.recover(peer_id)
-        try:
-            cluster.run_until_stable(timeout=config.timeout)
-        except TimeoutError as exc:
-            return _RunOutcome(
-                chooser, schedule, error="never re-stabilised: %s" % exc
-            )
-        cluster.run(config.settle)
+        steps = []
+        for step in range(config.depth):
+            when = (step + 1) * config.step_interval
+            steps.append((when, functools.partial(decide, step=step)))
+            steps.append((when, functools.partial(prune, step=step)))
 
-        report = cluster.check_properties()
-        states = {
-            tuple(sorted(state.items()))
-            for state in cluster.states().values()
-        }
-        signature = violation_signature(report, converged=len(states) == 1)
-        return _RunOutcome(
-            chooser, schedule, signature=signature,
-            recorder=cluster.recorder,
+        def on_start(cluster):
+            if config.interleave:
+                cluster.sim.set_policy(InterleavingPolicy(
+                    chooser, cluster.network._deliver, self._por_stats
+                ))
+
+        replayed = execute(
+            schedule, steps, config.settle, config.timeout,
+            on_start=on_start, leader_factory=config.leader_factory,
         )
+        return chooser, replayed
 
     def _step_options(self, cluster):
         """The fault menu at this decision point, gated by cluster state.

@@ -11,7 +11,7 @@ seed that fails here is a reproducible protocol bug.
 
 import pytest
 
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 
 
 class Adversary:
@@ -82,7 +82,7 @@ def run_scenario(seed, n_voters, steps, step_interval=0.6,
                  max_concurrent_crashes=None):
     if max_concurrent_crashes is None:
         max_concurrent_crashes = (n_voters - 1) // 2
-    cluster = Cluster(n_voters, seed=seed).start()
+    cluster = Cluster(ClusterConfig(n_voters=n_voters, seed=seed)).start()
     cluster.run_until_stable(timeout=60)
     load = LoadGenerator(cluster)
     adversary = Adversary(cluster, max_concurrent_crashes)
@@ -140,7 +140,7 @@ def test_load_actually_commits_under_faults():
 
 def test_repeated_leader_assassination():
     """Kill every leader as soon as it stabilises, five times over."""
-    cluster = Cluster(5, seed=400).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=400)).start()
     for round_index in range(5):
         leader = cluster.run_until_stable(timeout=60)
         cluster.submit_and_wait(("incr", "kills", 1))

@@ -6,7 +6,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from repro.checker import check_all, Trace
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.zab.zxid import Zxid
 
 
@@ -30,7 +30,7 @@ def test_roundtrip_preserves_events_and_order(tmp_path):
 
 
 def test_loaded_trace_rechecks_identically(tmp_path):
-    cluster = Cluster(3, seed=340).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=340)).start()
     cluster.run_until_stable(timeout=30)
     for i in range(10):
         cluster.submit_and_wait(("incr", "x", 1))

@@ -11,7 +11,7 @@ from repro.paxos import PaxosCluster
 
 
 def run_zab_scenario(seed):
-    cluster = Cluster(5, seed=seed).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=seed)).start()
     cluster.run_until_stable(timeout=30)
     for i in range(20):
         cluster.submit_and_wait(("incr", "x", 1))

@@ -333,21 +333,6 @@ def test_relayed_topologies_beat_leader_direct_at_scale(egress_curve):
 # ClusterConfig spellings
 # ---------------------------------------------------------------------------
 
-def test_both_construction_spellings_build_the_same_cluster():
-    new = Cluster(ClusterConfig(
-        n_voters=3, seed=21, dissemination="chain",
-        zab={"max_outstanding": 16},
-    ))
-    with pytest.warns(DeprecationWarning):
-        legacy = Cluster(3, seed=21, dissemination="chain",
-                         max_outstanding=16)
-    for cluster in (new, legacy):
-        assert cluster.config.dissemination.name == "chain"
-        assert cluster.config.max_outstanding == 16
-        assert sorted(cluster.peers) == [1, 2, 3]
-    assert new.cluster_config == legacy.cluster_config
-
-
 def test_cluster_config_replace_and_validation():
     spec = ClusterConfig(n_voters=5, dissemination="tree")
     assert spec.replace(seed=4).seed == 4
@@ -363,8 +348,10 @@ def test_cluster_config_replace_and_validation():
 
 
 def test_positional_legacy_spelling_stays_warning_free():
+    # The old positional order lives on in ClusterConfig's first fields,
+    # so Cluster(3, 1, 42) migrates by wrapping its arguments.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cluster = Cluster(3, 1, 42)       # n_voters, n_observers, seed
+        cluster = Cluster(ClusterConfig(3, 1, 42))  # voters, observers, seed
     assert sorted(cluster.peers) == [1, 2, 3, 4]
     assert cluster.cluster_config.seed == 42

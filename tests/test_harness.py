@@ -18,40 +18,22 @@ def test_checker_trace_via_cluster_config():
     assert cluster.trace is trace
 
 
-def test_checker_trace_legacy_kwarg_warns_but_works():
-    trace = Trace()
-    with pytest.warns(DeprecationWarning):
-        cluster = Cluster(3, seed=68, checker_trace=trace)
-    assert cluster.trace is trace
-
-
-def test_trace_kwarg_removed():
-    # Deprecated two releases ago as an alias for checker_trace; the
-    # construction redesign removed it for good.
-    with pytest.raises(TypeError, match="checker_trace"):
-        Cluster(3, seed=68, trace=Trace())
-
-
 def test_cluster_config_rejects_extra_arguments():
-    with pytest.raises(ConfigError):
-        Cluster(ClusterConfig(n_voters=3), seed=68)
-
-
-def test_cluster_kwargs_are_keyword_only():
     with pytest.raises(TypeError):
-        Cluster(3, 0, 68, None)  # net_config positionally
+        Cluster(ClusterConfig(n_voters=3), seed=68)
+    with pytest.raises(TypeError, match="ClusterConfig"):
+        Cluster(3)
 
 
 def test_cluster_validation():
     with pytest.raises(ConfigError):
-        Cluster(0)
-    with pytest.raises(ConfigError), warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        Cluster(3, disk="floppy")
+        ClusterConfig(n_voters=0)
+    with pytest.raises(ConfigError):
+        ClusterConfig(disk="floppy")
 
 
 def test_describe_marks_crashes_and_leader():
-    cluster = Cluster(3, seed=60).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=60)).start()
     cluster.run_until_stable(timeout=30)
     cluster.crash(1)
     text = cluster.describe()
@@ -60,14 +42,14 @@ def test_describe_marks_crashes_and_leader():
 
 
 def test_run_until_stable_times_out_without_quorum():
-    cluster = Cluster(3, seed=61)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=61))
     cluster.peers[1].start()  # only a minority boots
     with pytest.raises(TimeoutError):
         cluster.run_until_stable(timeout=2.0)
 
 
 def test_submit_without_leader_raises():
-    cluster = Cluster(3, seed=62)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=62))
     with pytest.raises(ConfigError):
         cluster.submit(("put", "k", 1))
 
@@ -83,7 +65,7 @@ def test_shared_disk_mode_contends():
 
 
 def test_fault_schedule_records_events():
-    cluster = Cluster(3, seed=64)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=64))
     fired = (
         ActionSchedule().add(1.0, "crash", 1).add(2.0, "recover", 1)
     ).bind(cluster)
@@ -95,7 +77,7 @@ def test_fault_schedule_records_events():
 
 
 def test_fault_schedule_crash_leader_and_follower():
-    cluster = Cluster(5, seed=65)
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=65))
     fired = (
         ActionSchedule()
         .add(1.0, "crash_follower")
@@ -114,7 +96,7 @@ def test_fault_schedule_crash_leader_and_follower():
 
 
 def test_partition_schedule():
-    cluster = Cluster(3, seed=66)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=66))
     fired = (
         ActionSchedule().add(1.0, "partition", [[1], [2, 3]]).add(2.0, "heal")
     ).bind(cluster)
@@ -133,7 +115,7 @@ def test_fault_schedule_from_actions():
         .add(3.0, "partition", [[2]])
         .add(4.0, "heal")
     )
-    cluster = Cluster(3, seed=69)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=69))
     fired = schedule.bind(cluster)
     cluster.start()
     cluster.run_until_stable(timeout=30)
@@ -146,7 +128,7 @@ def test_fault_schedule_from_actions():
 
 
 def test_states_excludes_crashed_and_unbuilt():
-    cluster = Cluster(3, seed=67).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=67)).start()
     cluster.run_until_stable(timeout=30)
     cluster.crash(1)
     assert 1 not in cluster.states()

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.harness import Cluster, ClusterConfig
+from repro.harness import (
+    ActionSchedule,
+    Cluster,
+    ClusterConfig,
+    replay_schedule,
+)
 from repro.harness.buggy import SEEDED_BUGS
 from repro.mc import (
     Chooser,
@@ -204,6 +209,49 @@ def test_progress_callback_sees_every_run():
         progress=lambda r: seen.append(r.runs),
     )
     assert len(seen) == result.runs
+
+
+def _at_check(replayed):
+    """Where a judged run stood when the property check ran."""
+    sim = replayed.cluster.sim
+    return sim.now, replayed.deliveries, sim.events_fired
+
+
+class _JudgedRuns(Explorer):
+    """An explorer that keeps each judged execution's schedule and
+    its :func:`_at_check` position."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.judged = []
+
+    def _execute(self, prefix, result):
+        chooser, replayed = super()._execute(prefix, result)
+        if replayed is not None:
+            self.judged.append((replayed.schedule, _at_check(replayed)))
+        return chooser, replayed
+
+
+def test_emitted_schedules_replay_the_explored_execution(tmp_path):
+    # The schedule file alone must replay the run the explorer judged.
+    # Trailing noop steps (meta "horizon") and the jitter override
+    # (meta "jitter") are what a replay used to lose.
+    explorer = _JudgedRuns(ExplorerConfig(
+        peers=3, depth=4, seed=0, max_schedules=50
+    ))
+    explorer.run()
+    jittered = _JudgedRuns(ExplorerConfig(
+        peers=3, depth=4, seed=0, jitter=0.0, max_schedules=1
+    ))
+    jittered.run(roots=[[0, 0, 1, 2]])
+    judged = explorer.judged[:40] + jittered.judged
+    assert len(judged) == 41
+    for index, (schedule, explored) in enumerate(judged):
+        path = schedule.save(str(tmp_path / ("run-%d.json" % index)))
+        replayed = replay_schedule(ActionSchedule.load(path))
+        assert replayed.error is None
+        assert _at_check(replayed) == explored, schedule.meta
+    assert replayed.cluster.network.config.jitter == 0.0
 
 
 @pytest.mark.slow

@@ -85,9 +85,9 @@ def test_null_tracer_is_inert_and_inactive():
 def test_tracer_off_means_zero_events_from_a_real_run():
     # A cluster built without a tracer must leave the shared no-op
     # tracer untouched — the zero-overhead path.
-    from repro.harness import Cluster
+    from repro.harness import Cluster, ClusterConfig
 
-    cluster = Cluster(3, seed=0).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=0)).start()
     cluster.run_until_stable(timeout=30.0)
     cluster.submit_and_wait(("put", "k", "v"))
     assert len(NULL_TRACER.events) == 0

@@ -11,7 +11,7 @@ live in ``tests/integration/test_ops_scenarios.py`` under ``-m ops``.
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.harness.opscenarios import (
     OPS_SCENARIOS,
     committed_txn_loss,
@@ -109,7 +109,7 @@ def test_snapshot_under_load_actually_compacts():
 # ---------------------------------------------------------------------------
 
 def stable_cluster(seed=0):
-    cluster = Cluster(3, seed=seed).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed)).start()
     cluster.run_until_stable(timeout=30)
     return cluster
 

@@ -57,7 +57,7 @@ def test_drift_is_detected():
 
 
 def test_quickstart_flow_through_top_level_imports():
-    cluster = repro.Cluster(n_voters=3, seed=1).start()
+    cluster = repro.Cluster(repro.ClusterConfig(n_voters=3, seed=1)).start()
     cluster.run_until_stable()
     _result, zxid = cluster.submit_and_wait(("put", "greeting", "hello"))
     assert zxid is not None

@@ -57,7 +57,7 @@ def test_follower_retransmits_followerinfo_until_answered():
     elected peer had entered LEADING (same-instant race), the handshake
     deadlocked until init_limit expired, stalling stability by 0.5s per
     round."""
-    cluster = Cluster(3, seed=300)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=300))
     received = []
     # Puppet leader: peer 3's address answers nothing, just records.
     cluster.network.register(
@@ -79,7 +79,7 @@ def test_role_change_discards_stale_in_flight_traffic():
     """Bug: go_looking reused the network registration, so proposals
     already in flight from the previous leadership leaked into the new
     handshake and tripped gap detection ('got (e,2) after None')."""
-    cluster = Cluster(3, seed=301).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=301)).start()
     cluster.run_until_stable(timeout=30)
     follower = next(
         peer for peer in cluster.peers.values() if peer.is_active_follower
@@ -119,7 +119,7 @@ def test_duplicate_sync_stream_installs_once():
     """A repeated handshake (FOLLOWERINFO retransmission racing its
     answer) can deliver the same DIFF twice; the second install must
     skip records that are already durable instead of raising."""
-    cluster = Cluster(3, seed=303).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=303)).start()
     cluster.run_until_stable(timeout=30)
     for i in range(3):
         cluster.submit_and_wait(("put", "k", i))

@@ -1,12 +1,12 @@
 """Election edge cases: staggered starts, mid-round joins, vote flips."""
 
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.zab import messages
 
 
 def test_staggered_boot_converges():
     # Peers start 300ms apart — rounds will disagree and must catch up.
-    cluster = Cluster(5, seed=230)
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=230))
     for index, peer_id in enumerate(sorted(cluster.peers)):
         cluster.sim.schedule(
             index * 0.3, cluster.peers[peer_id].start
@@ -20,7 +20,7 @@ def test_last_peer_with_best_log_joins_after_quorum_decided():
     # A quorum elects among peers with empty logs; the best-log peer
     # arrives late.  It must NOT disturb the established leader (its
     # history was never committed — FLE freshness is an optimisation).
-    cluster = Cluster(3, seed=231)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=231))
     for peer_id in (1, 2):
         cluster.storages[peer_id].epochs.set_accepted_epoch(1)
     cluster.storages[3].epochs.set_accepted_epoch(1)
@@ -49,7 +49,7 @@ def test_last_peer_with_best_log_joins_after_quorum_decided():
 
 
 def test_two_node_ensemble_elects_and_survives():
-    cluster = Cluster(2, seed=232).start()
+    cluster = Cluster(ClusterConfig(n_voters=2, seed=232)).start()
     cluster.run_until_stable(timeout=30)
     cluster.submit_and_wait(("put", "k", 1))
     # Either crash removes quorum (majority of 2 is 2).
@@ -65,7 +65,7 @@ def test_two_node_ensemble_elects_and_survives():
 
 
 def test_simultaneous_leader_and_follower_crash():
-    cluster = Cluster(5, seed=233).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=233)).start()
     cluster.run_until_stable(timeout=30)
     cluster.submit_and_wait(("put", "k", 1))
     leader_id = cluster.leader().peer_id
@@ -83,7 +83,7 @@ def test_simultaneous_leader_and_follower_crash():
 
 def test_thirteen_peer_ensemble_like_the_paper():
     # The paper's largest configuration.
-    cluster = Cluster(13, seed=234).start()
+    cluster = Cluster(ClusterConfig(n_voters=13, seed=234)).start()
     cluster.run_until_stable(timeout=60)
     for i in range(10):
         cluster.submit_and_wait(("incr", "x", 1))
@@ -100,7 +100,7 @@ def test_thirteen_peer_ensemble_like_the_paper():
 
 
 def test_role_changes_recorded():
-    cluster = Cluster(3, seed=235).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=235)).start()
     cluster.run_until_stable(timeout=30)
     peer = cluster.leader()
     states = [state for _t, state in peer.role_changes]

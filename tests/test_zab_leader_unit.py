@@ -7,7 +7,7 @@ the leader must fetch and adopt it before synchronising anyone.
 """
 
 from repro.app.statemachine import Txn
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.storage.records import LogRecord
 from repro.zab import messages
 from repro.zab.zxid import Zxid, ZXID_ZERO
@@ -45,7 +45,7 @@ def seed_txn(epoch, counter):
 
 def leader_with_puppets(seed=260):
     """Peer 3 starts alone; peers 1 and 2 are puppets."""
-    cluster = Cluster(3, seed=seed)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed))
     cluster.peers[3].start()
     puppet1 = Puppet(cluster, 1)
     puppet2 = Puppet(cluster, 2)
@@ -117,7 +117,7 @@ def test_establishment_requires_quorum_of_acknowledgements():
 
 
 def test_leader_aborts_handshake_without_quorum():
-    cluster = Cluster(3, seed=262)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=262))
     cluster.peers[3].start()
     Puppet(cluster, 1)
     puppet2 = Puppet(cluster, 2)

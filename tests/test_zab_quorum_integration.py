@@ -78,7 +78,7 @@ def test_hierarchical_quorum_blocks_without_group_majorities():
 
 
 def test_metrics_counters_exposed():
-    cluster = Cluster(3, seed=74).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=74)).start()
     cluster.run_until_stable(timeout=30)
     for _ in range(5):
         cluster.submit_and_wait(("incr", "x", 1))

@@ -174,7 +174,9 @@ def test_full_cluster_restart_preserves_state():
 
 
 def test_observer_receives_committed_stream():
-    cluster = Cluster(3, n_observers=1, seed=34).start()
+    cluster = Cluster(ClusterConfig(
+        n_voters=3, n_observers=1, seed=34
+    )).start()
     cluster.run_until_stable(timeout=30)
     observer = cluster.peers[4]
     assert observer.state == messages.OBSERVING
@@ -188,7 +190,9 @@ def test_observer_receives_committed_stream():
 def test_observer_does_not_affect_quorum():
     # 3 voters + 1 observer: crashing the observer must not disturb
     # commits; crashing 2 voters must block them even with the observer up.
-    cluster = Cluster(3, n_observers=1, seed=35).start()
+    cluster = Cluster(ClusterConfig(
+        n_voters=3, n_observers=1, seed=35
+    )).start()
     cluster.run_until_stable(timeout=30)
     cluster.crash(4)
     cluster.submit_and_wait(("put", "a", 1))
@@ -203,7 +207,9 @@ def test_observer_does_not_affect_quorum():
 
 
 def test_observer_reconnects_after_leader_change():
-    cluster = Cluster(3, n_observers=1, seed=36).start()
+    cluster = Cluster(ClusterConfig(
+        n_voters=3, n_observers=1, seed=36
+    )).start()
     cluster.run_until_stable(timeout=30)
     cluster.submit_and_wait(("put", "a", 1))
     cluster.crash(cluster.leader().peer_id)
