@@ -2,32 +2,84 @@
 
 import collections
 
+_SKIP = object()  # a send that has no key in a view (no type or no dst)
+
+
+def _src(key):
+    return key[0]
+
+
+def _type(key):
+    return _SKIP if key[2] is None else key[2]
+
+
+def _pair(key):
+    return _SKIP if key[1] is None else key[:2]
+
 
 class NetworkStats:
-    """Counts messages and bytes sent/received per node."""
+    """Counts messages and bytes sent/received per node.
+
+    A send is accounted once, in two Counters keyed by
+    ``(src, dst, type_name)``: one of messages and one of bytes.  The
+    per-node, per-type and per-pair send tallies are read-only views
+    rolled up from them on access.  Each view lists its keys in the
+    order they were first sent, so ``snapshot()`` output is stable.
+    """
 
     def __init__(self):
-        self.bytes_sent = collections.Counter()
+        self._messages = collections.Counter()  # (src, dst, type) -> sends
+        self._bytes = collections.Counter()     # (src, dst, type) -> bytes
         self.bytes_received = collections.Counter()
-        self.messages_sent = collections.Counter()
         self.messages_received = collections.Counter()
-        self.by_type = collections.Counter()        # payload class -> sends
-        self.bytes_by_type = collections.Counter()  # payload class -> bytes
-        self.bytes_by_pair = collections.Counter()     # (src, dst) -> bytes
-        self.messages_by_pair = collections.Counter()  # (src, dst) -> sends
         self.messages_dropped = 0
         self.drops_by_reason = collections.Counter()  # reason -> drops
         self.drops_by_node = collections.Counter()    # node -> drops
 
     def record_send(self, node, size, payload_type=None, dst=None):
-        self.bytes_sent[node] += size
-        self.messages_sent[node] += 1
-        if payload_type is not None:
-            self.by_type[payload_type] += 1
-            self.bytes_by_type[payload_type] += size
-        if dst is not None:
-            self.bytes_by_pair[(node, dst)] += size
-            self.messages_by_pair[(node, dst)] += 1
+        key = (node, dst, payload_type)
+        self._messages[key] += 1
+        self._bytes[key] += size
+
+    @staticmethod
+    def _rollup(counter, part):
+        """Sum *counter* by ``part(key)``, leaving out ``_SKIP`` parts."""
+        view = collections.Counter()
+        for key, value in counter.items():
+            group = part(key)
+            if group is not _SKIP:
+                view[group] += value
+        return view
+
+    @property
+    def bytes_sent(self):
+        """node -> bytes sent."""
+        return self._rollup(self._bytes, _src)
+
+    @property
+    def messages_sent(self):
+        """node -> messages sent."""
+        return self._rollup(self._messages, _src)
+
+    @property
+    def by_type(self):
+        """payload class name -> sends."""
+        return self._rollup(self._messages, _type)
+
+    @property
+    def bytes_by_type(self):
+        """payload class name -> bytes."""
+        return self._rollup(self._bytes, _type)
+
+    @property
+    def bytes_by_pair(self):
+        """(src, dst) -> bytes."""
+        return self._rollup(self._bytes, _pair)
+
+    @property
+    def messages_by_pair(self):
+        """(src, dst) -> sends."""
+        return self._rollup(self._messages, _pair)
 
     def egress_bytes(self, node):
         """Bytes *node* placed on its NIC (the dissemination-topology
@@ -54,11 +106,11 @@ class NetworkStats:
 
     def total_bytes(self):
         """Total bytes placed on the wire."""
-        return sum(self.bytes_sent.values())
+        return sum(self._bytes.values())
 
     def total_messages(self):
         """Total messages placed on the wire."""
-        return sum(self.messages_sent.values())
+        return sum(self._messages.values())
 
     def snapshot(self):
         """A plain-dict copy, convenient for bench reports."""
@@ -81,3 +133,4 @@ class NetworkStats:
             "drops_by_reason": dict(self.drops_by_reason),
             "drops_by_node": dict(self.drops_by_node),
         }
+

@@ -35,7 +35,7 @@ class TxnLog:
         self._disk = disk
         self._group_commit = group_commit
         self._records = []        # durable LogRecords, ascending zxid
-        self._zxids = []          # parallel list of zxids for bisect
+        self._keys = []           # parallel list of packed zxid keys
         self._pending = []        # [(LogRecord, callback)] awaiting flush
         self._inflight = []       # the batch currently being flushed
         self._flushing = False
@@ -140,7 +140,7 @@ class TxnLog:
 
     def _install(self, record):
         self._records.append(record)
-        self._zxids.append(record.zxid)
+        self._keys.append(record.zxid.key)
 
     # ------------------------------------------------------------------
     # Reading
@@ -172,13 +172,17 @@ class TxnLog:
 
     def contains(self, zxid):
         """True if a durable record with this exact zxid exists."""
-        index = bisect.bisect_left(self._zxids, zxid)
-        return index < len(self._zxids) and self._zxids[index] == zxid
+        key = zxid.key
+        keys = self._keys
+        index = bisect.bisect_left(keys, key)
+        return index < len(keys) and keys[index] == key
 
     def get(self, zxid):
         """Return the durable record with this zxid, or None."""
-        index = bisect.bisect_left(self._zxids, zxid)
-        if index < len(self._zxids) and self._zxids[index] == zxid:
+        key = zxid.key
+        keys = self._keys
+        index = bisect.bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
             return self._records[index]
         return None
 
@@ -189,7 +193,7 @@ class TxnLog:
         """
         if zxid is None:
             return list(self._records)
-        index = bisect.bisect_right(self._zxids, zxid)
+        index = bisect.bisect_right(self._keys, zxid.key)
         return self._records[index:]
 
     def all_entries(self):
@@ -225,7 +229,7 @@ class TxnLog:
         if self._pending or self._flushing:
             raise StorageError("cannot reset with in-flight appends")
         self._records = []
-        self._zxids = []
+        self._keys = []
         self._purged_through = zxid
 
     def replace_with(self, records, purged_through=None):
@@ -233,7 +237,7 @@ class TxnLog:
         if self._pending or self._flushing:
             raise StorageError("cannot replace with in-flight appends")
         self._records = []
-        self._zxids = []
+        self._keys = []
         self._purged_through = purged_through
         for record in records:
             self.install_record(record.zxid, record.txn, record.size)
@@ -251,10 +255,11 @@ class TxnLog:
         """
         if self._pending or self._flushing:
             raise StorageError("cannot truncate with in-flight appends")
-        index = 0 if zxid is None else bisect.bisect_right(self._zxids, zxid)
+        index = (0 if zxid is None
+                 else bisect.bisect_right(self._keys, zxid.key))
         dropped = len(self._records) - index
         del self._records[index:]
-        del self._zxids[index:]
+        del self._keys[index:]
         return dropped
 
     def purge_through(self, zxid):
@@ -272,12 +277,12 @@ class TxnLog:
         """
         if not self._records:
             return
-        tail = self._zxids[-1]
+        tail = self._records[-1].zxid
         if zxid > tail:
             zxid = tail
-        index = bisect.bisect_right(self._zxids, zxid)
+        index = bisect.bisect_right(self._keys, zxid.key)
         del self._records[:index]
-        del self._zxids[:index]
+        del self._keys[:index]
         if self._purged_through is None or zxid > self._purged_through:
             self._purged_through = zxid
 

@@ -128,6 +128,22 @@ class FollowerContext:
     # Message dispatch
     # ------------------------------------------------------------------
 
+    #: Message class -> name of the handler that takes it.  Keyed by the
+    #: exact class and resolved on the instance, so a subclass that
+    #: overrides a handler gets its override.
+    _DISPATCH = {
+        messages.NewEpoch: "_on_new_epoch",
+        messages.HistoryRequest: "_on_history_request",
+        messages.SyncStart: "_on_sync_start",
+        messages.SyncTxn: "_on_sync_txn",
+        messages.NewLeader: "_on_new_leader",
+        messages.UpToDate: "_on_up_to_date",
+        messages.Propose: "_on_propose",
+        messages.Commit: "_on_commit",
+        messages.Ping: "_on_ping",
+        messages.SyncReply: "_on_sync_reply",
+    }
+
     def on_message(self, src, msg):
         if isinstance(msg, messages.Relay):
             # Relayed broadcast traffic arrives from a peer follower,
@@ -138,26 +154,9 @@ class FollowerContext:
         if src != self.leader_id:
             return  # stale traffic from a deposed leader
         self._last_leader_contact = self.peer.sim.now
-        if isinstance(msg, messages.NewEpoch):
-            self._on_new_epoch(msg)
-        elif isinstance(msg, messages.HistoryRequest):
-            self._on_history_request()
-        elif isinstance(msg, messages.SyncStart):
-            self._on_sync_start(msg)
-        elif isinstance(msg, messages.SyncTxn):
-            self._on_sync_txn(msg)
-        elif isinstance(msg, messages.NewLeader):
-            self._on_new_leader(msg)
-        elif isinstance(msg, messages.UpToDate):
-            self._on_up_to_date(msg)
-        elif isinstance(msg, messages.Propose):
-            self._on_propose(msg)
-        elif isinstance(msg, messages.Commit):
-            self._on_commit(msg.zxid)
-        elif isinstance(msg, messages.Ping):
-            self._on_ping(msg)
-        elif isinstance(msg, messages.SyncReply):
-            self._on_sync_reply(msg)
+        handler = self._DISPATCH.get(msg.__class__)
+        if handler is not None:
+            getattr(self, handler)(msg)
 
     # ------------------------------------------------------------------
     # Handshake
@@ -180,7 +179,7 @@ class FollowerContext:
             ),
         )
 
-    def _on_history_request(self):
+    def _on_history_request(self, _msg):
         storage = self.peer.storage
         snapshot = None
         if storage.log.purged_through() is not None:
@@ -329,9 +328,9 @@ class FollowerContext:
         self.peer.send(self.leader_id, messages.Ack(zxid))
         self._deliver_committed()
 
-    def _on_commit(self, zxid):
-        if zxid > self.commit_frontier:
-            self.commit_frontier = zxid
+    def _on_commit(self, msg):
+        if msg.zxid > self.commit_frontier:
+            self.commit_frontier = msg.zxid
         self._deliver_committed()
 
     def _deliver_committed(self):

@@ -152,31 +152,35 @@ class LeaderContext:
     # Message dispatch
     # ------------------------------------------------------------------
 
+    #: Message class -> name of the handler that takes ``(src, msg)``.
+    #: Keyed by the exact class and resolved on the instance, so a
+    #: subclass that overrides a handler gets its override.  A class not
+    #: listed is stale traffic from an older role and is ignored.
+    _DISPATCH = {
+        messages.FollowerInfo: "_on_follower_info",
+        messages.AckEpoch: "_on_ack_epoch",
+        messages.HistoryResponse: "_on_history_response",
+        messages.AckNewLeader: "_on_ack_new_leader",
+        messages.Ack: "_on_ack",
+        messages.SyncRequest: "_on_sync_request",
+        messages.ForwardedRequest: "_on_forwarded_request",
+    }
+
     def on_message(self, src, msg):
         handle = self.handles.get(src)
         if handle is not None:
+            # A PONG does nothing but this refresh.
             handle.last_contact = self.peer.sim.now
-        if isinstance(msg, messages.FollowerInfo):
-            self._on_follower_info(src, msg)
-        elif isinstance(msg, messages.AckEpoch):
-            self._on_ack_epoch(src, msg)
-        elif isinstance(msg, messages.HistoryResponse):
-            self._on_history_response(src, msg)
-        elif isinstance(msg, messages.AckNewLeader):
-            self._on_ack_new_leader(src, msg)
-        elif isinstance(msg, messages.Ack):
-            self._on_ack(src, msg.zxid)
-        elif isinstance(msg, messages.Pong):
-            pass  # last_contact already refreshed above
-        elif isinstance(msg, messages.SyncRequest):
-            self._on_sync_request(src, msg)
-        elif isinstance(msg, messages.ForwardedRequest):
-            self.submit(
-                PendingRequest(
-                    msg.request_id, msg.client, msg.origin, msg.op, msg.size
-                )
+        handler = self._DISPATCH.get(msg.__class__)
+        if handler is not None:
+            getattr(self, handler)(src, msg)
+
+    def _on_forwarded_request(self, _src, msg):
+        self.submit(
+            PendingRequest(
+                msg.request_id, msg.client, msg.origin, msg.op, msg.size
             )
-        # anything else is stale traffic from an older role; ignore
+        )
 
     # ------------------------------------------------------------------
     # Phase 1: discovery
@@ -438,10 +442,14 @@ class LeaderContext:
             self._disseminate(message)
         self.peer.storage.log.append(
             zxid, txn, request.size,
-            callback=lambda z=zxid: self._on_ack(self.peer.peer_id, z),
+            # The leader's own fsync counts as its ACK.
+            callback=lambda ack=messages.Ack(zxid): self._on_ack(
+                self.peer.peer_id, ack
+            ),
         )
 
-    def _on_ack(self, src, zxid):
+    def _on_ack(self, src, msg):
+        zxid = msg.zxid
         proposal = self.proposals.get(zxid)
         if proposal is None or not self.config.is_voter(src):
             # An ACK for an already-committed proposal: protocol-wise a

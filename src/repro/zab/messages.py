@@ -170,6 +170,11 @@ class UpToDate:
 
 # --- Phase 3: broadcast ---------------------------------------------------
 
+#: Body size of a message whose only field is a zxid: the structural
+#: estimate (8 bytes of object overhead plus the 8-byte zxid), stated
+#: directly so the sizer does not walk the slots once per ACK and COMMIT.
+_ZXID_ONLY_BYTES = 16
+
 
 class Propose:
     """Leader -> follower: two-phase-commit phase one for one txn."""
@@ -196,6 +201,9 @@ class Ack:
     def __init__(self, zxid):
         self.zxid = zxid
 
+    def wire_size(self):
+        return _ZXID_ONLY_BYTES
+
 
 class Commit:
     """Leader -> follower: deliver everything up to (and incl.) zxid."""
@@ -204,6 +212,9 @@ class Commit:
 
     def __init__(self, zxid):
         self.zxid = zxid
+
+    def wire_size(self):
+        return _ZXID_ONLY_BYTES
 
 
 class Inform:

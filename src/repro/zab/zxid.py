@@ -4,23 +4,32 @@ A zxid is the pair ``(epoch, counter)``: *epoch* identifies the primary
 instance that generated the transaction and *counter* its position within
 that instance.  zxids are totally ordered lexicographically, which is the
 order Zab delivers in.  ZooKeeper packs the pair into a 64-bit integer
-(epoch in the high 32 bits); :meth:`Zxid.packed` mirrors that encoding.
+(epoch in the high 32 bits); :attr:`Zxid.key` holds that encoding, and
+every comparison is one int compare on it.
+
+A zxid is deliberately not an ``int`` subclass: ``Zxid(1, 1) < 5`` must
+stay a ``TypeError``, so a zxid can never be mixed up with a count or a
+position.
 """
 
-import functools
 
-
-@functools.total_ordering
 class Zxid:
-    """An (epoch, counter) transaction id."""
+    """An (epoch, counter) transaction id.
 
-    __slots__ = ("epoch", "counter")
+    ``key`` is the packed form ``epoch << 32 | counter``, computed once;
+    it orders exactly like ``(epoch, counter)`` because counters fit in
+    32 bits.  Logs and quorum trackers that need many comparisons can
+    store the keys themselves.
+    """
+
+    __slots__ = ("epoch", "counter", "key")
 
     def __init__(self, epoch, counter):
         if epoch < 0 or counter < 0:
             raise ValueError("zxid parts must be non-negative")
         self.epoch = epoch
         self.counter = counter
+        self.key = (epoch << 32) | counter
 
     def next(self):
         """The next zxid of the same primary instance."""
@@ -28,7 +37,7 @@ class Zxid:
 
     def packed(self):
         """64-bit packed form: epoch << 32 | counter."""
-        return (self.epoch << 32) | self.counter
+        return self.key
 
     @classmethod
     def unpack(cls, value):
@@ -39,17 +48,46 @@ class Zxid:
         return (self.epoch, self.counter)
 
     def __eq__(self, other):
-        if not isinstance(other, Zxid):
-            return NotImplemented
-        return self.epoch == other.epoch and self.counter == other.counter
+        if isinstance(other, Zxid):
+            return self.key == other.key
+        return NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, Zxid):
+            return self.key != other.key
+        return NotImplemented
 
     def __lt__(self, other):
-        if not isinstance(other, Zxid):
-            return NotImplemented
-        return (self.epoch, self.counter) < (other.epoch, other.counter)
+        if isinstance(other, Zxid):
+            return self.key < other.key
+        return NotImplemented
+
+    def __le__(self, other):
+        if isinstance(other, Zxid):
+            return self.key <= other.key
+        return NotImplemented
+
+    def __gt__(self, other):
+        if isinstance(other, Zxid):
+            return self.key > other.key
+        return NotImplemented
+
+    def __ge__(self, other):
+        if isinstance(other, Zxid):
+            return self.key >= other.key
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.epoch, self.counter))
+
+    def __reduce__(self):
+        return (Zxid, (self.epoch, self.counter))
+
+    def __setstate__(self, state):
+        # Pickles written before ``key`` existed restore through the
+        # default slots protocol: ``(None, {"epoch": e, "counter": c})``.
+        _dict, slots = state
+        self.__init__(slots["epoch"], slots["counter"])
 
     def __repr__(self):
         return "zxid(%d:%d)" % (self.epoch, self.counter)
