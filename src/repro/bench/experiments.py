@@ -619,7 +619,7 @@ def a2_observers(duration=_DURATION, seed=12, rate=1000):
         cluster.run(0.3)
         report = cluster.check_properties()
         assert report.ok, report.violations[:3]
-        summary = driver.latency.summary()
+        summary = driver.latency.snapshot()
         rows.append({
             "config": label,
             "replicas": n_voters + n_observers,

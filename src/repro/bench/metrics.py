@@ -21,63 +21,6 @@ def percentile(values, fraction):
     return ordered[low] * (1 - weight) + ordered[high] * weight
 
 
-class LatencyRecorder:
-    """Collects (timestamp, latency) samples with a warmup filter."""
-
-    def __init__(self, warmup_until=0.0):
-        self.warmup_until = warmup_until
-        self.samples = []       # (commit_time, latency)
-        self.discarded = 0
-
-    def record(self, commit_time, latency):
-        if commit_time < self.warmup_until:
-            self.discarded += 1
-            return
-        self.samples.append((commit_time, latency))
-
-    def latencies(self):
-        return [latency for _time, latency in self.samples]
-
-    def count(self):
-        return len(self.samples)
-
-    def mean(self):
-        """Mean latency; raises ValueError if nothing was recorded.
-
-        An empty recorder used to return NaN here, which propagated
-        silently through bench-report arithmetic; failing loudly makes
-        a broken measurement window a visible error instead.
-        """
-        values = self.latencies()
-        if not values:
-            raise ValueError("no latency samples recorded")
-        return sum(values) / len(values)
-
-    def pct(self, fraction):
-        """The *fraction*-quantile; raises ValueError when empty."""
-        values = self.latencies()
-        if not values:
-            raise ValueError("no latency samples recorded")
-        return percentile(values, fraction)
-
-    def summary(self):
-        """Dict of the stats the experiment tables report.
-
-        An empty recorder reports ``{"count": 0, "empty": True}`` so
-        consumers can branch explicitly rather than meeting NaN.
-        """
-        if not self.samples:
-            return {"count": 0, "empty": True}
-        return {
-            "count": self.count(),
-            "mean": self.mean(),
-            "p50": self.pct(0.50),
-            "p95": self.pct(0.95),
-            "p99": self.pct(0.99),
-            "max": max(self.latencies()),
-        }
-
-
 class Timeline:
     """Time-bucketed event counts — the throughput-over-time series."""
 

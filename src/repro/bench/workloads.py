@@ -21,72 +21,83 @@ client networking, and survive leader changes by re-resolving the
 leader and retrying.
 """
 
-from repro.bench.metrics import LatencyRecorder, Timeline
+from repro.bench.metrics import Timeline
 from repro.common.errors import NotLeaderError
 from repro.obs.metrics import StreamingHistogram
 
 
 class _DriverBase:
-    def __init__(self, cluster, op_factory, op_size, warmup=0.0,
-                 timeline_bucket=0.1, latency_histogram=None):
+    """State every driver shares, and the one commit-recording path.
+
+    ``latency`` is a :class:`~repro.obs.metrics.StreamingHistogram` of
+    submit-to-commit latency for ops committed once warmup is over;
+    ``timeline`` counts every commit.
+    """
+
+    def __init__(self, cluster, warmup=0.0, timeline_bucket=0.1):
         self.cluster = cluster
-        self.op_factory = op_factory
-        self.op_size = op_size
-        self.latency = LatencyRecorder(
-            warmup_until=cluster.sim.now + warmup
-        )
-        # Optional streaming histogram (repro.obs) fed alongside the
-        # exact recorder; lets bench reports carry sketch percentiles.
-        self.latency_histogram = latency_histogram
         self._warmup_until = cluster.sim.now + warmup
+        self.latency = StreamingHistogram()
         self.timeline = Timeline(bucket=timeline_bucket)
-        self.submitted = 0
-        self.committed = 0
         self.stopped = False
 
     def stop(self):
         self.stopped = True
 
+    def _propose(self, leader, op, size, on_commit):
+        """Propose *op* at *leader*; False if it is no longer leader.
+
+        On commit the latency (past warmup) and the timeline are
+        recorded, then ``on_commit(sample)`` runs with the measured
+        latency, or None during warmup.
+        """
+        submit_time = self.cluster.sim.now
+
+        def callback(result, zxid):
+            now = self.cluster.sim.now
+            sample = None
+            if now >= self._warmup_until:
+                sample = now - submit_time
+                self.latency.observe(sample)
+            self.timeline.add(now)
+            on_commit(sample)
+
+        try:
+            leader.propose_op(op, callback=callback, size=size)
+        except NotLeaderError:
+            return False
+        return True
+
+
+class _ClientDriver(_DriverBase):
+    """One client stream of ``op_factory(index)`` ops of *op_size* bytes."""
+
+    def __init__(self, cluster, op_factory, op_size, warmup=0.0,
+                 timeline_bucket=0.1):
+        _DriverBase.__init__(self, cluster, warmup, timeline_bucket)
+        self.op_factory = op_factory
+        self.op_size = op_size
+        self.submitted = 0
+        self.committed = 0
+
     def _submit_one(self):
         if self.stopped:
             return False
         leader = self.cluster.leader()
-        if leader is None:
-            return False
-        submit_time = self.cluster.sim.now
-
-        def on_commit(result, zxid, t0=submit_time):
-            now = self.cluster.sim.now
-            self.committed += 1
-            self.latency.record(now, now - t0)
-            if self.latency_histogram is not None and now >= self._warmup_until:
-                self.latency_histogram.observe(now - t0)
-            self.timeline.add(now)
-            self._on_commit()
-
-        try:
-            leader.propose_op(
-                self.op_factory(self.submitted), callback=on_commit,
-                size=self.op_size,
-            )
-        except NotLeaderError:
+        if leader is None or not self._propose(
+            leader, self.op_factory(self.submitted), self.op_size,
+            self._on_commit,
+        ):
             return False
         self.submitted += 1
         return True
 
-    def _on_commit(self):
-        """Subclass hook fired after each commit is recorded."""
-
-    def results(self):
-        """Summary dict shared by the experiment tables."""
-        return {
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "latency": self.latency.summary(),
-        }
+    def _on_commit(self, _sample):
+        """Fired after each commit is recorded; subclasses extend it."""
+        self.committed += 1
 
 
-class ClosedLoopDriver(_DriverBase):
+class ClosedLoopDriver(_ClientDriver):
     """Keeps *outstanding* operations permanently in flight.
 
     Operations in flight at a leader that crashes lose their callbacks
@@ -98,11 +109,10 @@ class ClosedLoopDriver(_DriverBase):
 
     def __init__(self, cluster, outstanding, op_factory, op_size,
                  warmup=0.0, retry_interval=0.05, stall_timeout=0.5,
-                 timeline_bucket=0.1, latency_histogram=None):
-        _DriverBase.__init__(
+                 timeline_bucket=0.1):
+        _ClientDriver.__init__(
             self, cluster, op_factory, op_size, warmup=warmup,
             timeline_bucket=timeline_bucket,
-            latency_histogram=latency_histogram,
         )
         self.outstanding = outstanding
         self.retry_interval = retry_interval
@@ -126,7 +136,8 @@ class ClosedLoopDriver(_DriverBase):
             # No leader right now (election in progress): retry shortly.
             self.cluster.sim.schedule(self.retry_interval, self._pump)
 
-    def _on_commit(self):
+    def _on_commit(self, sample):
+        _ClientDriver._on_commit(self, sample)
         self._in_flight -= 1
         self._last_activity = self.cluster.sim.now
         self._pump()
@@ -148,15 +159,14 @@ class ClosedLoopDriver(_DriverBase):
         self._arm_watchdog()
 
 
-class OpenLoopDriver(_DriverBase):
+class OpenLoopDriver(_ClientDriver):
     """Poisson arrivals at *rate* operations per simulated second."""
 
     def __init__(self, cluster, rate, op_factory, op_size, warmup=0.0,
-                 timeline_bucket=0.1, latency_histogram=None):
-        _DriverBase.__init__(
+                 timeline_bucket=0.1):
+        _ClientDriver.__init__(
             self, cluster, op_factory, op_size, warmup=warmup,
             timeline_bucket=timeline_bucket,
-            latency_histogram=latency_histogram,
         )
         if rate <= 0:
             raise ValueError("rate must be positive")
@@ -265,16 +275,15 @@ class SessionClass:
 
 
 class _ClassState:
-    """Per-class live counters and sketches inside the aggregate driver."""
+    """Per-class live counters and latency sketch in the aggregate driver."""
 
-    __slots__ = ("cls", "rng", "latency", "histogram", "submitted",
-                 "committed", "reads", "read_misses", "rejected")
+    __slots__ = ("cls", "rng", "latency", "submitted", "committed",
+                 "reads", "read_misses", "rejected")
 
-    def __init__(self, cls, rng, warmup_until):
+    def __init__(self, cls, rng):
         self.cls = cls
         self.rng = rng
-        self.latency = LatencyRecorder(warmup_until=warmup_until)
-        self.histogram = StreamingHistogram()
+        self.latency = StreamingHistogram()
         self.submitted = 0
         self.committed = 0
         self.reads = 0
@@ -282,7 +291,7 @@ class _ClassState:
         self.rejected = 0
 
 
-class AggregateOpenLoopDriver:
+class AggregateOpenLoopDriver(_DriverBase):
     """Open-loop load from session *populations*, one stream per class.
 
     Each :class:`SessionClass` draws its arrivals, op sizes, and
@@ -300,26 +309,16 @@ class AggregateOpenLoopDriver:
     / ``committed`` / ``results()`` — plus per-class breakdowns.
     """
 
-    def __init__(self, cluster, classes, warmup=0.0, timeline_bucket=0.1,
-                 latency_histogram=None):
+    def __init__(self, cluster, classes, warmup=0.0, timeline_bucket=0.1):
         if not classes:
             raise ValueError("need at least one SessionClass")
         names = [cls.name for cls in classes]
         if len(set(names)) != len(names):
             raise ValueError("session class names must be unique")
-        self.cluster = cluster
-        self.latency = LatencyRecorder(
-            warmup_until=cluster.sim.now + warmup
-        )
-        self.latency_histogram = latency_histogram
-        self._warmup_until = cluster.sim.now + warmup
-        self.timeline = Timeline(bucket=timeline_bucket)
-        self.stopped = False
+        _DriverBase.__init__(self, cluster, warmup, timeline_bucket)
         self.classes = [
             _ClassState(
-                cls,
-                cluster.sim.random.stream("aggload:%s" % cls.name),
-                self._warmup_until,
+                cls, cluster.sim.random.stream("aggload:%s" % cls.name)
             )
             for cls in classes
         ]
@@ -348,9 +347,6 @@ class AggregateOpenLoopDriver:
         for state in self.classes:
             self._schedule_next(state)
         return self
-
-    def stop(self):
-        self.stopped = True
 
     def _schedule_next(self, state):
         if self.stopped:
@@ -392,28 +388,16 @@ class AggregateOpenLoopDriver:
             state.rejected += 1
             return
         size = state.cls.sample_size(state.rng)
-        submit_time = self.cluster.sim.now
 
-        def on_commit(result, zxid, t0=submit_time):
-            now = self.cluster.sim.now
+        def on_commit(sample):
             state.committed += 1
-            sample = now - t0
-            state.latency.record(now, sample)
-            if now >= self._warmup_until:
-                state.histogram.observe(sample)
-                if self.latency_histogram is not None:
-                    self.latency_histogram.observe(sample)
-            self.latency.record(now, sample)
-            self.timeline.add(now)
+            if sample is not None:
+                state.latency.observe(sample)
 
-        try:
-            leader.propose_op(
-                ("put", key, "v" * size), callback=on_commit, size=size,
-            )
-        except NotLeaderError:
+        if self._propose(leader, ("put", key, "v" * size), size, on_commit):
+            state.submitted += 1
+        else:
             state.rejected += 1
-            return
-        state.submitted += 1
 
     def results(self):
         """Aggregate summary plus per-class breakdowns."""
@@ -421,7 +405,7 @@ class AggregateOpenLoopDriver:
             "sessions": self.sessions,
             "submitted": self.submitted,
             "committed": self.committed,
-            "latency": self.latency.summary(),
+            "latency": self.latency.snapshot(),
             "classes": {
                 state.cls.name: {
                     "sessions": state.cls.sessions,
@@ -431,8 +415,7 @@ class AggregateOpenLoopDriver:
                     "reads": state.reads,
                     "read_misses": state.read_misses,
                     "rejected": state.rejected,
-                    "latency": state.latency.summary(),
-                    "latency_sketch": state.histogram.snapshot(),
+                    "latency": state.latency.snapshot(),
                 }
                 for state in self.classes
             },
@@ -448,10 +431,10 @@ class AggregateOpenLoopDriver:
             metrics["%s.reads" % prefix] = state.reads
             if duration > 0:
                 metrics["%s.write_ops" % prefix] = (
-                    state.latency.count() / duration
+                    state.latency.count / duration
                 )
                 metrics["%s.read_ops" % prefix] = state.reads / duration
-            summary = state.latency.summary()
+            summary = state.latency.snapshot()
             for key in ("mean", "p50", "p95", "p99"):
                 if key in summary:
                     metrics["%s.latency.%s_ms" % (prefix, key)] = (

@@ -95,10 +95,6 @@ def cmd_bench(args):
     print("properties:   %s"
           % ("OK" if result.check_report.ok else "VIOLATED"))
     metrics = result.metrics
-    hist = metrics["histograms"]["bench.commit_latency_s"]
-    if hist["count"]:
-        print("obs sketch:   p50=%.2fms p99=%.2fms (%d samples, ~2%% err)"
-              % (hist["p50"] * 1e3, hist["p99"] * 1e3, hist["count"]))
     print("obs counters: committed=%d commits=%d elections=%d drops=%d"
           % (metrics["counters"]["bench.committed"],
              metrics["zab"]["commits"],
@@ -356,54 +352,34 @@ def cmd_profile(args):
 
 
 def cmd_fuzz(args):
-    # Import here: the integration helpers live in the test tree's
-    # spirit but are re-implemented inline to keep the CLI standalone.
-    from repro.harness import Cluster, ClusterConfig
-
-    cluster = Cluster(ClusterConfig(
-        n_voters=args.servers, seed=args.seed
-    )).start()
-    cluster.run_until_stable(timeout=60)
-    rng = cluster.sim.random.stream("cli-fuzz")
-    max_down = (args.servers - 1) // 2
-
-    def tick():
-        leader = cluster.leader()
-        if leader is not None:
-            try:
-                leader.propose_op(("incr", "counter", 1))
-            except Exception:
-                pass
-
-    for step in range(args.steps):
-        for _ in range(10):
-            cluster.run(0.05)
-            tick()
-        crashed = [p for p, peer in cluster.peers.items() if peer.crashed]
-        live = [p for p, peer in cluster.peers.items() if not peer.crashed]
-        if crashed and (rng.random() < 0.5 or len(crashed) >= max_down):
-            victim = rng.choice(crashed)
-            print("t=%6.2f recover peer %d" % (cluster.sim.now, victim))
-            cluster.recover(victim)
-        else:
-            victim = rng.choice(live)
-            print("t=%6.2f crash   peer %d" % (cluster.sim.now, victim))
-            cluster.crash(victim)
-    for peer_id, peer in cluster.peers.items():
-        if peer.crashed:
-            cluster.recover(peer_id)
-    cluster.run_until_stable(timeout=60)
-    cluster.run(2.0)
-    report = cluster.check_properties()
-    print()
     from repro.checker.report import render_history, render_report
+    from repro.harness.replay import replay_schedule
+    from repro.harness.schedule import ActionSchedule
 
-    print("properties: %s" % ("ALL OK" if report.ok else "VIOLATED"))
-    print(render_report(report))
-    if not report.ok:
+    # The same seeded schedule `repro shrink --seed N` replays, so a
+    # failing fuzz seed hands straight over to the shrinker.
+    schedule = ActionSchedule.generate(
+        args.seed, n_voters=args.servers, steps=args.steps,
+    )
+    result = replay_schedule(schedule)
+    for when, happened in result.fired:
+        print("t=%6.2f %s" % (when, happened))
+    print()
+    if result.error is not None:
+        print("run failed: %s" % result.error)
+        return 1
+    print("properties: %s" % ("ALL OK" if result.ok else "VIOLATED"))
+    print(render_report(result.report))
+    if not result.ok:
         print("union history:")
-        print(render_history(cluster.trace))
-    return 0 if report.ok else 1
+        print(render_history(result.cluster.trace))
+    if not result.converged:
+        print("replicas: DIVERGED")
+    if result.passed:
+        return 0
+    print("minimize: repro shrink --seed %d --servers %d --steps %d"
+          % (args.seed, args.servers, args.steps))
+    return 1
 
 
 _REPRO_TEST_TEMPLATE = '''\
@@ -433,6 +409,26 @@ def test_seed_%(seed)d_violation_reproduces():
 '''
 
 
+_UNKNOWN_BUG = object()
+
+
+def _seeded_bug_factory(name):
+    """Leader factory of seeded bug *name*; None when no bug is asked for.
+
+    An unknown name is reported on stderr and returns ``_UNKNOWN_BUG``.
+    """
+    if not name:
+        return None
+    from repro.harness.buggy import SEEDED_BUGS
+
+    bug = SEEDED_BUGS.get(name)
+    if bug is None:
+        print("unknown seeded bug %r; choose from: %s"
+              % (name, ", ".join(sorted(SEEDED_BUGS))), file=sys.stderr)
+        return _UNKNOWN_BUG
+    return bug.factory
+
+
 def cmd_shrink(args):
     import os
 
@@ -441,17 +437,9 @@ def cmd_shrink(args):
     from repro.harness.schedule import ActionSchedule
     from repro.harness.shrink import make_reproducer, shrink_schedule
 
-    leader_factory = None
-    if args.buggy:
-        from repro.harness.buggy import SEEDED_BUGS
-
-        bug = SEEDED_BUGS.get(args.buggy)
-        if bug is None:
-            print("unknown seeded bug %r; choose from: %s"
-                  % (args.buggy, ", ".join(sorted(SEEDED_BUGS))),
-                  file=sys.stderr)
-            return 2
-        leader_factory = bug.factory
+    leader_factory = _seeded_bug_factory(args.buggy)
+    if leader_factory is _UNKNOWN_BUG:
+        return 2
 
     if args.schedule:
         schedule = ActionSchedule.load(args.schedule)
@@ -540,17 +528,9 @@ def cmd_explore(args):
 
     from repro.mc import ExplorerConfig, Explorer
 
-    leader_factory = None
-    if args.buggy:
-        from repro.harness.buggy import SEEDED_BUGS
-
-        bug = SEEDED_BUGS.get(args.buggy)
-        if bug is None:
-            print("unknown seeded bug %r; choose from: %s"
-                  % (args.buggy, ", ".join(sorted(SEEDED_BUGS))),
-                  file=sys.stderr)
-            return 2
-        leader_factory = bug.factory
+    leader_factory = _seeded_bug_factory(args.buggy)
+    if leader_factory is _UNKNOWN_BUG:
+        return 2
 
     out_dir = args.out or "explore-results"
     config = ExplorerConfig(
@@ -901,7 +881,8 @@ def build_parser():
     p_profile.set_defaults(fn=cmd_profile)
 
     p_fuzz = sub.add_parser(
-        "fuzz", help="random crash/recover run + property check"
+        "fuzz", help="replay the seeded adversary schedule that shrink "
+                     "--seed starts from + property check"
     )
     p_fuzz.add_argument("--servers", type=int, default=5)
     p_fuzz.add_argument("--seed", type=int, default=0)

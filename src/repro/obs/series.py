@@ -18,6 +18,12 @@ CI assert that ``health.json`` does not drift.
 from repro.common.errors import ConfigError
 
 
+def nearest_rank(values, fraction):
+    """Exact nearest-rank *fraction*-percentile (0..1) of non-empty *values*."""
+    ordered = sorted(values)
+    return ordered[int(round(fraction * (len(ordered) - 1)))]
+
+
 class TimeSeries:
     """A bounded, append-only sequence of ``(t, value)`` samples.
 
@@ -89,9 +95,7 @@ class TimeSeries:
             raise ValueError("no samples")
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        ordered = sorted(self.values())
-        index = int(round(fraction * (len(ordered) - 1)))
-        return ordered[index]
+        return nearest_rank(self.values(), fraction)
 
     def summary(self):
         """JSON-safe digest (count/mean/min/max/last, no raw dump)."""

@@ -69,6 +69,23 @@ def test_correct_leader_passes_buggy_seed():
     assert replay_schedule(schedule).passed
 
 
+def test_failing_fuzz_seed_prints_the_matching_shrink_command(
+        monkeypatch, capsys):
+    import repro.harness.replay as replay_module
+
+    # Fuzz has no seeded-bug flag: plant the bug under its replay.
+    def buggy_replay(schedule):
+        return replay_schedule(schedule, leader_factory=BuggyLeaderContext)
+
+    monkeypatch.setattr(replay_module, "replay_schedule", buggy_replay)
+    code = main(["fuzz", "--servers", "3", "--seed", str(BUGGY_SEED)])
+    assert code == 1
+    printed = capsys.readouterr().out
+    assert "properties: VIOLATED" in printed
+    assert ("repro shrink --seed %d --servers 3 --steps 10" % BUGGY_SEED
+            in printed)
+
+
 def test_shrink_cli_emits_repro_artifacts(tmp_path, capsys):
     out = str(tmp_path / "artifacts")
     code = main([

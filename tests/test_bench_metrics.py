@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.metrics import LatencyRecorder, Timeline, percentile
+from repro.bench.metrics import Timeline, percentile
 
 
 # --- percentile -------------------------------------------------------------
@@ -45,39 +45,6 @@ def test_percentile_monotone_in_fraction(values):
     p25 = percentile(values, 0.25)
     p75 = percentile(values, 0.75)
     assert p25 <= p75
-
-
-# --- LatencyRecorder -----------------------------------------------------------
-
-def test_recorder_summary():
-    recorder = LatencyRecorder()
-    for i in range(1, 101):
-        recorder.record(float(i), i / 1000.0)
-    summary = recorder.summary()
-    assert summary["count"] == 100
-    assert summary["p50"] == pytest.approx(0.0505, rel=0.01)
-    assert summary["max"] == pytest.approx(0.1)
-    assert summary["mean"] == pytest.approx(0.0505)
-
-
-def test_recorder_discards_warmup():
-    recorder = LatencyRecorder(warmup_until=5.0)
-    recorder.record(1.0, 0.5)    # during warmup
-    recorder.record(6.0, 0.1)
-    assert recorder.count() == 1
-    assert recorder.discarded == 1
-    assert recorder.latencies() == [0.1]
-
-
-def test_recorder_empty_summary():
-    assert LatencyRecorder().summary() == {"count": 0, "empty": True}
-
-
-def test_recorder_empty_stats_raise():
-    with pytest.raises(ValueError):
-        LatencyRecorder().mean()
-    with pytest.raises(ValueError):
-        LatencyRecorder().pct(0.5)
 
 
 # --- Timeline ---------------------------------------------------------------

@@ -91,6 +91,24 @@ def test_fuzz_clean_exit(capsys):
     assert "ALL OK" in out
 
 
+def test_fuzz_fires_the_schedule_shrink_replays(capsys):
+    from repro.harness.replay import replay_schedule
+    from repro.harness.schedule import ActionSchedule
+
+    # Seed 6 mixes crashes, recoveries and partitions on five peers.
+    schedule = ActionSchedule.generate(6, n_voters=5, steps=6)
+    assert main(["fuzz", "--servers", "5", "--seed", "6",
+                 "--steps", "6"]) == 0
+    fired = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("t=")]
+    assert [line.split(None, 2)[2].split()[0] for line in fired] == [
+        action.kind for action in schedule
+    ]
+    assert fired == [
+        "t=%6.2f %s" % pair for pair in replay_schedule(schedule).fired
+    ]
+
+
 def test_campaign_command(capsys):
     assert main(["campaign", "--servers", "3", "--seeds", "2",
                  "--steps", "3"]) == 0
